@@ -51,7 +51,6 @@ from .reversal import (
     BackwardRepresentation,
     PhiSpec,
     backward_ito_eval,
-    backward_representation,
     clark_ocone_integrand,
     hermite_projection,
     quadratic_covariation,
@@ -119,7 +118,6 @@ __all__ = [
     "BackwardRepresentation",
     "PhiSpec",
     "backward_ito_eval",
-    "backward_representation",
     "clark_ocone_integrand",
     "hermite_projection",
     "quadratic_covariation",

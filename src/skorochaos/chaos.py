@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .grid import Grid, TimeSet
-from .kernels import SymKernel, contract, project, tensor_power
+from .kernels import (
+    MAX_ORDER, SymKernel, contract, kernel_to_text, next_line, parse_finite, parse_header, project,
+    read_kernel_block, read_text, tensor_power,
+)
 from .paths import PathBatch, StepFunction, map_path_chunks
 
 __all__ = [
@@ -285,42 +288,27 @@ def multiply(F: ChaosFunctional, G: ChaosFunctional) -> ChaosFunctional:
 # text round trip
 
 def functional_to_text(F: ChaosFunctional, fp: TextIO) -> None:
-    from .kernels import kernel_to_text
-
     fp.write(f"functional cells {F.grid.n_cells} mean {F.mean!r} kernels {len(F.kernels)}\n")
     for n in sorted(F.kernels):
         kernel_to_text(F.kernels[n], fp)
         fp.write("\n")
 
 
-def functional_from_lines(lines, header: str) -> ChaosFunctional:
-    from .kernels import read_kernel_block
-
-    parts = header.split()
-    if parts[:1] != ["functional"] or parts[1] != "cells" or parts[3] != "mean" or parts[5] != "kernels":
-        raise ValueError(f"bad functional header {header!r}")
-    grid = Grid(int(parts[2]))
-    mean = float(parts[4])
-    n_kernels = int(parts[6])
+def functional_from_lines(lines: Iterator[str], header: str) -> ChaosFunctional:
+    """Parse one functional given its already-consumed header line."""
+    cells, mean, count = parse_header(header, "functional cells _ mean _ kernels _")
+    grid = Grid(int(cells))
+    n_kernels = int(count)
+    if not 0 <= n_kernels <= MAX_ORDER:
+        raise ValueError(f"kernel count {n_kernels} outside 0..{MAX_ORDER}")
     ks: dict[int, SymKernel] = {}
-    seen = 0
-    while seen < n_kernels:
-        line = next(lines, None)
-        if line is None:
-            raise ValueError("truncated functional text")
-        line = line.strip()
-        if not line:
-            continue
-        k = read_kernel_block(lines, line)
+    for _ in range(n_kernels):
+        k = read_kernel_block(lines, next_line(lines, "kernel header"))
+        if k.order in ks:
+            raise ValueError(f"kernel order {k.order} given twice")
         ks[k.order] = k
-        seen += 1
-    return ChaosFunctional(grid, mean, ks)
+    return ChaosFunctional(grid, parse_finite(mean), ks)
 
 
 def functional_from_text(fp: TextIO) -> ChaosFunctional:
-    lines = iter(fp.read().splitlines())
-    for line in lines:
-        line = line.strip()
-        if line:
-            return functional_from_lines(lines, line)
-    raise ValueError("empty functional text")
+    return read_text(fp, "functional", functional_from_lines)

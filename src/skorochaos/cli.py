@@ -1,9 +1,12 @@
 """Command-line entry point for the experiment runner.
 
-Each subcommand maps to one experiment; flags are long-only and override
-values read from an optional key=value config file.  The table goes to
---out when given, otherwise to stdout; human-readable pass/fail lines go
-to stderr so the CSV stream stays clean.  Exit status 0 means every
+Each subcommand maps to one experiment and is built from its entry in
+``experiments.SPECS``: the flags are the fields the experiment takes, and
+each experiment validates only those fields.  Flags are long-only and
+override values read from an optional key=value config file, whose keys
+are the subcommand's own flags (plus ``out``).  The table goes to --out
+when given, otherwise to stdout; human-readable pass/fail lines go to
+stderr so the CSV stream stays clean.  Exit status 0 means every
 assertion in the experiment held.
 """
 
@@ -11,57 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import FIELDS, SPECS, ExperimentConfig, run_experiment
 
 __all__ = ["main", "build_parser", "read_config_file"]
-
-_CSV_DOC = {
-    "geometry": "region tiling brute force on sampled points; columns M,t,n_points,covered,disjoint",
-    "isometry": "Monte Carlo product moments vs kernel inner products; columns n,m,exact,estimate,std_error,z",
-    "martingale": "conditioned increments of the integral process, exact; columns integrand,n_pairs,max_defect",
-    "theorem1": "two-sided approximation energy vs its integrand bound; columns depth,vhat,sobolev_bound",
-    "ducnualart": "region-kernel extraction, re-synthesis residual, energy majoration; columns statistic,value",
-    "reversal": "reversed-time identities and decomposition residuals; columns N,t,statistic,value,std_error",
-    "stopping": "optional sampling and stopped integrals; columns rule,test_variable,n_paths,estimate,std_error,z",
-}
-
-_FLAGS = {
-    "geometry": ("M", "t", "samples", "seed"),
-    "isometry": ("N", "L", "paths", "seed", "workers"),
-    "martingale": ("N", "seed"),
-    "theorem1": ("N", "L", "depth", "seed"),
-    "ducnualart": ("N", "L", "seed"),
-    "reversal": ("N", "n", "t", "paths", "seed", "workers"),
-    "stopping": ("N", "paths", "seed", "workers"),
-}
-
-_FLAG_TYPES = {
-    "N": int,
-    "L": int,
-    "paths": int,
-    "seed": int,
-    "depth": int,
-    "workers": int,
-    "M": int,
-    "samples": int,
-    "n": int,
-    "t": float,
-}
-
-_FLAG_HELP = {
-    "N": "grid cells (power of two)",
-    "L": "chaos order cap for the kernel family",
-    "paths": "Monte Carlo path count",
-    "seed": "base seed for counter-based path sampling",
-    "depth": "finest dyadic partition depth",
-    "workers": "evaluation threads (never changes output bytes)",
-    "M": "dimension of the sampled cube",
-    "samples": "number of generic sample points",
-    "n": "highest chaos order exercised",
-    "t": "grid-aligned time for time-indexed checks",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +26,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiment runner for the anticipating-integral toolkit.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_CSV_DOC[name], description=_CSV_DOC[name])
-        for flag in _FLAGS[name]:
-            p.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=None, help=_FLAG_HELP[flag])
+    for name, spec in SPECS.items():
+        doc = f"{spec.summary}; columns {','.join(spec.columns)}"
+        p = sub.add_parser(name, help=doc, description=doc)
+        for flag in spec.fields:
+            p.add_argument(f"--{flag}", type=FIELDS[flag].type, default=None, help=FIELDS[flag].help)
         p.add_argument("--config", default=None, help="key=value file; flags override it")
         p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     return parser
@@ -94,19 +51,15 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
+    spec = SPECS[args.experiment]
     values: dict[str, object] = {"experiment": args.experiment}
+    keys = (*spec.fields, "out")
     if args.config is not None:
         for key, raw in read_config_file(args.config).items():
-            if key == "experiment" or key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _FLAG_TYPES[key](raw) if key in _FLAG_TYPES else raw
-    for flag in _FLAGS[args.experiment]:
-        given = getattr(args, flag)
-        if given is not None:
-            values[flag] = given
-    if args.out is not None:
-        values["out"] = args.out
+            if key not in keys:
+                raise ValueError(f"unknown config key {key!r} for {args.experiment}")
+            values[key] = FIELDS[key].type(raw) if key in FIELDS else raw
+    values.update((key, given) for key in keys if (given := getattr(args, key)) is not None)
     return ExperimentConfig(**values)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,8 @@ from .stopping import GridStoppingTime, optional_sampling_check, stopped_integra
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
+    "FIELDS",
+    "SPECS",
     "EXPERIMENTS",
     "run_experiment",
     "format_value",
@@ -62,6 +64,35 @@ __all__ = [
 
 _EXACT = 1e-12
 _PATHWISE = 1e-10
+
+
+class Field(NamedTuple):
+    """One config field: its type, help text and range check."""
+
+    type: type
+    help: str
+    ok: Callable[[Any], bool] | None = None
+    rule: str = ""  # what ``ok`` demands, for the error message
+    echo: bool = True  # echoed in the CSV header
+
+
+FIELDS: dict[str, Field] = {
+    "N": Field(int, "grid cells (power of two)", lambda v: v >= 1 and v & (v - 1) == 0, "must be a power of two"),
+    "L": Field(int, "chaos order cap for the kernel family", lambda v: 0 <= v <= 4, "out of range 0..4"),
+    "paths": Field(int, "Monte Carlo path count", lambda v: v >= 2, "must be at least 2"),
+    "seed": Field(
+        int, "base seed for counter-based path sampling", lambda v: 0 <= v < 2**64, "out of range 0..2**64-1"
+    ),
+    "depth": Field(int, "finest dyadic partition depth", lambda v: v >= 0, "must be nonnegative"),
+    # the worker count never changes output bytes, so the CSV does not echo it
+    "workers": Field(
+        int, "evaluation threads (never changes output bytes)", lambda v: v >= 1, "must be at least 1", echo=False
+    ),
+    "M": Field(int, "dimension of the sampled cube", lambda v: 1 <= v <= 6, "out of range 1..6"),
+    "samples": Field(int, "number of generic sample points", lambda v: v >= 1, "must be at least 1"),
+    "n": Field(int, "highest chaos order exercised", lambda v: 1 <= v <= 3, "out of range 1..3"),
+    "t": Field(float, "grid-aligned time for time-indexed checks"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,37 +113,26 @@ class ExperimentConfig:
     n: int = 2
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        """Check the fields this experiment takes, then its cross-field rules."""
+        spec = SPECS.get(self.experiment)
+        if spec is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.N < 1 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N={self.N} must be a power of two")
-        if self.experiment != "reversal" and self.N > MAX_CELLS:
-            raise ValueError(f"N={self.N} exceeds the kernel cell cap {MAX_CELLS}")
-        if not 0 <= self.L <= 4:
-            raise ValueError(f"L={self.L} out of range 0..4")
-        if self.paths < 2:
-            raise ValueError("need at least two paths")
-        if self.depth < 0 or (self.N >> self.depth) << self.depth != self.N:
-            raise ValueError(f"depth={self.depth} does not divide an N={self.N} grid")
-        if not 1 <= self.M <= 6:
-            raise ValueError(f"M={self.M} out of range 1..6")
-        if not 1 <= self.n <= 3:
-            raise ValueError(f"n={self.n} out of range 1..3")
-        if self.samples < 1:
-            raise ValueError("need at least one sample point")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
+        for name in spec.fields:
+            f, value = FIELDS[name], getattr(self, name)
+            if f.ok is not None and not f.ok(value):
+                raise ValueError(f"{name}={value!r} {f.rule}")
+        for rule in spec.rules:
+            rule(self)
 
 
-_ECHO_FIELDS = {
-    "geometry": ("experiment", "M", "t", "samples", "seed"),
-    "isometry": ("experiment", "N", "L", "paths", "seed"),
-    "martingale": ("experiment", "N", "seed"),
-    "theorem1": ("experiment", "N", "L", "depth", "seed"),
-    "ducnualart": ("experiment", "N", "L", "seed"),
-    "reversal": ("experiment", "N", "n", "t", "paths", "seed"),
-    "stopping": ("experiment", "N", "paths", "seed"),
-}
+def _within_cell_cap(cfg: ExperimentConfig) -> None:
+    if cfg.N > MAX_CELLS:
+        raise ValueError(f"N={cfg.N} exceeds the kernel cell cap {MAX_CELLS}")
+
+
+def _depth_divides_grid(cfg: ExperimentConfig) -> None:
+    if (cfg.N >> cfg.depth) << cfg.depth != cfg.N:
+        raise ValueError(f"depth={cfg.depth} does not divide an N={cfg.N} grid")
 
 
 def format_value(v: object) -> str:
@@ -138,7 +158,7 @@ class ExperimentResult:
     def csv_text(self) -> str:
         lines = [
             f"# {name}={format_value(getattr(self.config, name))}"
-            for name in _ECHO_FIELDS[self.config.experiment]
+            for name in SPECS[self.config.experiment].echo
         ]
         lines.append(",".join(self.columns))
         for row in self.rows:
@@ -146,8 +166,12 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
+def _new_result(cfg: ExperimentConfig) -> ExperimentResult:
+    return ExperimentResult(cfg, SPECS[cfg.experiment].columns)
+
+
 def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("M", "t", "n_points", "covered", "disjoint"))
+    res = _new_result(cfg)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     points: list[tuple[float, ...]] = []
     attempts = 0
@@ -186,7 +210,7 @@ def _isometry_pairs(grid: Grid, top: int):
 
 
 def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("n", "m", "exact", "estimate", "std_error", "z"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     batch = sample_paths(grid, cfg.paths, cfg.seed, cfg.workers)
     for n, m, f, g in _isometry_pairs(grid, max(cfg.L, 1)):
@@ -217,7 +241,7 @@ def _integrand_family(grid: Grid) -> list[tuple[str, ChaosProcess]]:
 
 
 def _run_martingale(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("integrand", "n_pairs", "max_defect"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     bounds = [grid.boundary_value(b) for b in range(grid.n_cells + 1)]
     for name, u in _integrand_family(grid):
@@ -235,7 +259,7 @@ def _run_martingale(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("depth", "vhat", "sobolev_bound"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     u = brownian_terminal_process(grid).add(brownian_path_process(grid))
     Y = skorohod_process(u)
@@ -274,7 +298,7 @@ def _ducnualart_integrand(grid: Grid) -> ChaosProcess:
 
 
 def _run_ducnualart(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("statistic", "value"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     u = _ducnualart_integrand(grid)
     Y = skorohod_process(u)
@@ -299,7 +323,7 @@ def _run_ducnualart(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("N", "t", "statistic", "value", "std_error"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     batch = sample_paths(grid, cfg.paths, cfg.seed, cfg.workers)
     rev = reverse_batch(batch)
@@ -365,7 +389,7 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
-    res = ExperimentResult(cfg, ("rule", "test_variable", "n_paths", "estimate", "std_error", "z"))
+    res = _new_result(cfg)
     grid = Grid(cfg.N)
     batch = sample_paths(grid, cfg.paths, cfg.seed, cfg.workers)
     Y = skorohod_process(brownian_terminal_process(grid))
@@ -402,15 +426,49 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
     return res
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "geometry": _run_geometry,
-    "isometry": _run_isometry,
-    "martingale": _run_martingale,
-    "theorem1": _run_theorem1,
-    "ducnualart": _run_ducnualart,
-    "reversal": _run_reversal,
-    "stopping": _run_stopping,
+class ExperimentSpec(NamedTuple):
+    """What an experiment runs, prints and takes; the CLI is built from it."""
+
+    run: Callable[[ExperimentConfig], ExperimentResult]
+    summary: str
+    columns: tuple[str, ...]
+    fields: tuple[str, ...]
+    rules: tuple[Callable[[ExperimentConfig], None], ...] = ()  # cross-field checks
+
+    @property
+    def echo(self) -> tuple[str, ...]:
+        return ("experiment",) + tuple(name for name in self.fields if FIELDS[name].echo)
+
+
+SPECS: dict[str, ExperimentSpec] = {
+    "geometry": ExperimentSpec(
+        _run_geometry, "region tiling brute force on sampled points",
+        ("M", "t", "n_points", "covered", "disjoint"), ("M", "t", "samples", "seed")),
+    "isometry": ExperimentSpec(
+        _run_isometry, "Monte Carlo product moments vs kernel inner products",
+        ("n", "m", "exact", "estimate", "std_error", "z"), ("N", "L", "paths", "seed", "workers"),
+        (_within_cell_cap,)),
+    "martingale": ExperimentSpec(
+        _run_martingale, "conditioned increments of the integral process, exact",
+        ("integrand", "n_pairs", "max_defect"), ("N", "seed"), (_within_cell_cap,)),
+    "theorem1": ExperimentSpec(
+        _run_theorem1, "two-sided approximation energy vs its integrand bound",
+        ("depth", "vhat", "sobolev_bound"), ("N", "L", "depth", "seed"), (_within_cell_cap, _depth_divides_grid)),
+    "ducnualart": ExperimentSpec(
+        _run_ducnualart, "region-kernel extraction, re-synthesis residual, energy majoration",
+        ("statistic", "value"), ("N", "L", "seed"), (_within_cell_cap,)),
+    # no cell cap: above it reversal skips its kernel checks and keeps the pathwise ones
+    "reversal": ExperimentSpec(
+        _run_reversal, "reversed-time identities and decomposition residuals",
+        ("N", "t", "statistic", "value", "std_error"), ("N", "n", "t", "paths", "seed", "workers")),
+    "stopping": ExperimentSpec(
+        _run_stopping, "optional sampling and stopped integrals",
+        ("rule", "test_variable", "n_paths", "estimate", "std_error", "z"), ("N", "paths", "seed", "workers"),
+        (_within_cell_cap,)),
 }
+
+# run_experiment dispatches through this registry, so a test can swap in a runner
+EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {n: s.run for n, s in SPECS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

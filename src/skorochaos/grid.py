@@ -63,6 +63,8 @@ class Grid:
 
     def boundary_index(self, t: float) -> int:
         """Boundary index of a grid-aligned time t (0 <= t <= 1)."""
+        if not math.isfinite(t):
+            raise ValueError(f"time {t!r} is not finite")
         raw = t * self.n_cells
         idx = round(raw)
         if abs(raw - idx) > _ALIGN_TOL * self.n_cells or not 0 <= idx <= self.n_cells:
@@ -73,12 +75,6 @@ class Grid:
         if not 0 <= i <= self.n_cells:
             raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
         return i * self.delta
-
-    def cell_of(self, s: float) -> int:
-        """Cell containing the interior point s (cells are left-open)."""
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"point {s!r} outside (0, 1]")
-        return int(math.ceil(s * self.n_cells - _ALIGN_TOL))
 
     def cells(self) -> range:
         return range(1, self.n_cells + 1)
@@ -119,10 +115,6 @@ class TimeSet:
             raise ValueError(f"cells {bad} out of range 1..{self.grid.n_cells}")
 
     @classmethod
-    def from_cells(cls, grid: Grid, cells: Iterable[int]) -> "TimeSet":
-        return cls(grid, frozenset(cells))
-
-    @classmethod
     def from_interval(cls, grid: Grid, a: float, b: float) -> "TimeSet":
         ia, ib = grid.boundary_index(a), grid.boundary_index(b)
         if ia > ib:
@@ -160,14 +152,8 @@ class TimeSet:
         """Image of the set under t -> 1 - t."""
         return TimeSet(self.grid, frozenset(self.grid.reversed_cell(k) for k in self.cells))
 
-    def contains_cell(self, k: int) -> bool:
-        return k in self.cells
-
     def contains_multiset(self, mu: Sequence[int]) -> bool:
         return all(k in self.cells for k in mu)
-
-    def measure(self) -> float:
-        return len(self.cells) * self.grid.delta
 
     def _check(self, other: "TimeSet") -> None:
         if other.grid != self.grid:

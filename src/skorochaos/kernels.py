@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .grid import Grid, TimeSet
 from .paths import StepFunction
@@ -51,6 +49,8 @@ __all__ = [
 MAX_ORDER = 5
 MAX_CELLS = 64
 _DENSE_LIMIT = 2_000_000
+
+T = TypeVar("T")
 
 
 def _multiplicities(mu: tuple[int, ...]) -> list[int]:
@@ -167,9 +167,6 @@ class SymKernel:
         self._check(other)
         keys = set(self.data) | set(other.data)
         return max((abs(self.data.get(mu, 0.0) - other.data.get(mu, 0.0)) for mu in keys), default=0.0)
-
-    def map_values(self, fn: Callable[[tuple[int, ...], float], float]) -> "SymKernel":
-        return SymKernel(self.grid, self.order, {mu: fn(mu, v) for mu, v in self.data.items()})
 
     def _check(self, other: "SymKernel") -> None:
         if other.grid != self.grid or other.order != self.order:
@@ -348,7 +345,45 @@ def constant_kernel(grid: Grid, order: int, value: float) -> SymKernel:
 
 
 # ---------------------------------------------------------------------------
-# text round trip: header "order n cells N", then "c_1,...,c_n=value" lines
+# text round trip: header "order n cells N", then "c_1,...,c_n=value" lines;
+# the kernel, functional and process readers share the helpers below.
+
+def next_line(lines: Iterator[str], what: str) -> str:
+    """The next non-blank line, stripped; ``what`` names it in the error."""
+    for line in lines:
+        line = line.strip()
+        if line:
+            return line
+    raise ValueError(f"text ended before the {what}")
+
+
+def parse_header(line: str, form: str) -> list[str]:
+    """The values of a header laid out as ``form``, where ``_`` marks a value.
+
+    parse_header("order 2 cells 8", "order _ cells _") == ["2", "8"]
+    """
+    parts, words = line.split(), form.split()
+    if len(parts) != len(words) or any(w not in ("_", p) for w, p in zip(words, parts)):
+        raise ValueError(f"bad header {line!r}: expected {form!r}")
+    return [p for w, p in zip(words, parts) if w == "_"]
+
+
+def parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def read_text(fp: TextIO, what: str, read_block: Callable[[Iterator[str], str], T]) -> T:
+    """Read one header-led block from the whole of ``fp``; nothing may follow it."""
+    lines = iter(fp.read().splitlines())
+    block = read_block(lines, next_line(lines, f"{what} header"))
+    for line in lines:
+        if line.strip():
+            raise ValueError(f"unexpected text after the {what}: {line.strip()!r}")
+    return block
+
 
 def kernel_to_text(f: SymKernel, fp: TextIO) -> None:
     fp.write(f"order {f.order} cells {f.grid.n_cells}\n")
@@ -358,10 +393,7 @@ def kernel_to_text(f: SymKernel, fp: TextIO) -> None:
 
 def read_kernel_block(lines: Iterator[str], header: str) -> SymKernel:
     """Parse one kernel block given its already-consumed header line."""
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "order" or parts[2] != "cells":
-        raise ValueError(f"bad kernel header {header!r}")
-    order, n_cells = int(parts[1]), int(parts[3])
+    order, n_cells = (int(v) for v in parse_header(header, "order _ cells _"))
     grid = Grid(n_cells)
     values: dict[tuple[int, ...], float] = {}
     for line in lines:
@@ -370,14 +402,11 @@ def read_kernel_block(lines: Iterator[str], header: str) -> SymKernel:
             break
         mu_text, _, v_text = line.partition("=")
         mu = tuple(int(c) for c in mu_text.split(","))
-        values[mu] = float(v_text)
+        if mu in values:
+            raise ValueError(f"multiset {mu} given twice")
+        values[mu] = parse_finite(v_text)
     return SymKernel(grid, order, values)
 
 
 def kernel_from_text(fp: TextIO) -> SymKernel:
-    lines = iter(fp.read().splitlines())
-    for line in lines:
-        line = line.strip()
-        if line:
-            return read_kernel_block(lines, line)
-    raise ValueError("empty kernel text")
+    return read_text(fp, "kernel", read_kernel_block)

@@ -19,12 +19,12 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy.special import ndtri
 
-from .grid import Grid, TimeSet
+from .grid import Grid
 
 __all__ = [
     "StepFunction",
@@ -34,7 +34,6 @@ __all__ = [
     "reverse_batch",
     "write_batch",
     "read_batch",
-    "chunk_ranges",
     "map_path_chunks",
 ]
 
@@ -68,16 +67,6 @@ class StepFunction:
         ia, ib = grid.boundary_index(a), grid.boundary_index(b)
         mask[ia:ib] = 1.0
         return cls(grid, mask)
-
-    @classmethod
-    def from_timeset(cls, ts: TimeSet) -> "StepFunction":
-        mask = np.zeros(ts.grid.n_cells)
-        for k in ts.cells:
-            mask[k - 1] = 1.0
-        return cls(ts.grid, mask)
-
-    def value_at_cell(self, k: int) -> float:
-        return float(self.values[k - 1])
 
     def scaled(self, c: float) -> "StepFunction":
         return StepFunction(self.grid, self.values * c)
@@ -142,9 +131,6 @@ class PathBatch:
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         return out
 
-    def terminal_values(self) -> np.ndarray:
-        return self.increments.sum(axis=1)
-
     def take(self, count: int) -> "PathBatch":
         if count > self.count:
             raise ValueError(f"batch holds {self.count} paths, asked for {count}")
@@ -157,7 +143,7 @@ def _path_uniform_bits(seed: int, index: int, n: int) -> np.ndarray:
     return gen.integers(0, 1 << 53, size=n, dtype=np.int64)
 
 
-def chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
     """Split range(count) into at most ``workers`` contiguous chunks."""
     workers = max(1, min(workers, count)) if count else 1
     step = -(-count // workers) if count else 0
@@ -169,7 +155,7 @@ def map_path_chunks(fn: Callable[[int, int], None], count: int, workers: int) ->
     Each chunk writes disjoint output slices, so the result is identical
     for every worker count.
     """
-    ranges = chunk_ranges(count, workers)
+    ranges = _chunk_ranges(count, workers)
     if len(ranges) <= 1:
         for lo, hi in ranges:
             fn(lo, hi)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .skorohod import ChaosProcess
 __all__ = [
     "reverse_functional",
     "BackwardRepresentation",
-    "backward_representation",
     "clark_ocone_integrand",
     "backward_ito_eval",
     "hermite_projection",
@@ -100,10 +99,6 @@ class BackwardRepresentation:
         grid = self.F.grid
         fs = [self.value_at(b) for b in range(grid.n_cells + 1)]
         return eval_many(fs, batch, workers).T
-
-
-def backward_representation(F: ChaosFunctional) -> BackwardRepresentation:
-    return BackwardRepresentation(F)
 
 
 def backward_ito_eval(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .chaos import (
     multiply,
 )
 from .grid import Grid, Partition, TimeSet
-from .kernels import SymKernel, orderings, restrict_below_count
+from .kernels import SymKernel, next_line, parse_header, read_text
 from .paths import PathBatch
 
 __all__ = [
@@ -569,25 +569,15 @@ def process_to_text(Y: SkorohodProcess, fp: TextIO) -> None:
         functional_to_text(F, fp)
 
 
-def process_from_text(fp: TextIO) -> SkorohodProcess:
-    lines = iter(fp.read().splitlines())
-    header = ""
-    for line in lines:
-        line = line.strip()
-        if line:
-            header = line
-            break
-    parts = header.split()
-    if parts[:2] != ["skorohod", "cells"]:
-        raise ValueError(f"bad process header {header!r}")
-    grid = Grid(int(parts[2]))
-    provenance = parts[4] if len(parts) > 4 else "direct"
+def _process_from_lines(lines: Iterator[str], header: str) -> SkorohodProcess:
+    cells, provenance = parse_header(header, "skorohod cells _ provenance _")
+    grid = Grid(int(cells))
     functionals = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("boundary "):
-            continue
-        functionals.append(functional_from_lines(lines, line))
+    for i in range(grid.n_cells + 1):
+        parse_header(next_line(lines, f"boundary {i}"), f"boundary {i}")
+        functionals.append(functional_from_lines(lines, next_line(lines, f"functional at boundary {i}")))
     return SkorohodProcess(grid, functionals, provenance)
+
+
+def process_from_text(fp: TextIO) -> SkorohodProcess:
+    return read_text(fp, "process", _process_from_lines)

@@ -1,5 +1,7 @@
 """Experiment configs, CSV format, and the command-line wrapper."""
 
+import re
+
 import pytest
 
 from skorochaos import ExperimentConfig, run_experiment
@@ -41,6 +43,30 @@ def test_csv_echo_includes_seed_and_trailing_newline():
     assert len(lines) == len(echo) + 1 + len(res.rows)
 
 
+# echo header and column line of each experiment at its TINY size
+ECHO_GOLDEN = {
+    "ducnualart": ["# experiment=ducnualart", "# N=8", "# L=2", "# seed=5", "statistic,value"],
+    "geometry": ["# experiment=geometry", "# M=2", "# t=0.25", "# samples=200", "# seed=5",
+                 "M,t,n_points,covered,disjoint"],
+    "isometry": ["# experiment=isometry", "# N=8", "# L=2", "# paths=3000", "# seed=5",
+                 "n,m,exact,estimate,std_error,z"],
+    "martingale": ["# experiment=martingale", "# N=8", "# seed=5", "integrand,n_pairs,max_defect"],
+    "reversal": ["# experiment=reversal", "# N=8", "# n=2", "# t=0.25", "# paths=600", "# seed=5",
+                 "N,t,statistic,value,std_error"],
+    "stopping": ["# experiment=stopping", "# N=8", "# paths=600", "# seed=5",
+                 "rule,test_variable,n_paths,estimate,std_error,z"],
+    "theorem1": ["# experiment=theorem1", "# N=16", "# L=2", "# depth=4", "# seed=5",
+                 "depth,vhat,sobolev_bound"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_csv_echo_header_is_pinned(name):
+    golden = ECHO_GOLDEN[name]
+    text = run_experiment(ExperimentConfig(experiment=name, workers=2, **TINY[name])).csv_text()
+    assert text.splitlines()[: len(golden)] == golden
+
+
 def test_format_value_round_trips_floats():
     for x in (0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, -2.5e17):
         assert float(format_value(x)) == x
@@ -49,6 +75,8 @@ def test_format_value_round_trips_floats():
     assert format_value(42) == "42"
 
 
+# Each bad value goes to an experiment that reads the field; the last key
+# is the one at fault, and the error names its value.
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -56,21 +84,30 @@ def test_format_value_round_trips_floats():
         dict(N=7),
         dict(N=6),
         dict(experiment="isometry", N=128),
-        dict(L=5),
-        dict(paths=1),
-        dict(N=8, depth=5),
-        dict(M=0),
-        dict(M=7),
-        dict(n=4),
-        dict(samples=0),
-        dict(workers=0),
+        dict(experiment="isometry", L=5),
+        dict(experiment="isometry", paths=1),
+        dict(experiment="theorem1", N=8, depth=5),
+        dict(experiment="geometry", M=0),
+        dict(experiment="geometry", M=7),
+        dict(experiment="reversal", n=4),
+        dict(experiment="geometry", samples=0),
+        dict(experiment="stopping", workers=0),
+        dict(experiment="isometry", seed=-1),
+        dict(experiment="geometry", seed=2**64),
     ],
 )
 def test_config_validation_rejects(overrides):
     base = dict(experiment="martingale", N=8)
     base.update(overrides)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(list(overrides.values())[-1]))):
         ExperimentConfig(**base).validate()
+
+
+def test_validation_ignores_fields_the_experiment_does_not_take():
+    foreign = dict(L=5, paths=1, depth=5, M=0, n=4, samples=0, workers=0)
+    ExperimentConfig(experiment="martingale", N=4, **foreign).validate()
+    ExperimentConfig(experiment="stopping", N=4, depth=3).validate()
+    ExperimentConfig(experiment="geometry", N=7).validate()
 
 
 def test_reversal_may_exceed_kernel_cell_cap():
@@ -103,11 +140,26 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["martingale", "--config", str(p)]) == 2
     p.write_text("experiment=stopping\n")
     assert main(["martingale", "--config", str(p)]) == 2
+    p.write_text("paths=10\n")  # a field of other experiments, not of martingale
+    assert main(["martingale", "--config", str(p)]) == 2
 
 
 def test_cli_invalid_value_exits_2(capsys):
-    assert main(["martingale", "--N", "7"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["martingale", "--N", "7"],
+        ["reversal", "--N", "8", "--t", "inf"],
+        ["reversal", "--N", "8", "--t", "nan"],
+        ["isometry", "--N", "8", "--seed", "-1"],
+        ["geometry", "--seed", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["stopping", "martingale"])
+def test_cli_ignores_depth_it_does_not_take(name, capsys):
+    assert main([name, "--N", "4"]) == 0
+    assert f"{name}: pass" in capsys.readouterr().err
 
 
 def test_cli_writes_out_file(tmp_path, capsys):

@@ -32,6 +32,12 @@ def test_off_grid_time_rejected(grid8):
         grid8.boundary_index(0.3)
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_time_rejected(grid8, t):
+    with pytest.raises(ValueError, match="not finite"):
+        grid8.boundary_index(t)
+
+
 def test_cell_reversal_involution(grid16):
     for k in grid16.cells():
         assert grid16.reversed_cell(grid16.reversed_cell(k)) == k

@@ -11,7 +11,6 @@ from skorochaos import (
     StepFunction,
     TimeSet,
     backward_ito_eval,
-    backward_representation,
     conditional_expectation,
     eval_functional,
     first_order,
@@ -49,7 +48,7 @@ def test_reverse_functional_is_change_of_variables(grid8, batch8):
 
 
 def test_difference_representation_closed_form(grid8, batch8):
-    rep = backward_representation(quadratic_terminal(grid8))
+    rep = BackwardRepresentation(quadratic_terminal(grid8))
     walk = batch8.boundary_values()
     x1 = walk[:, -1]
     for b in range(grid8.n_cells + 1):

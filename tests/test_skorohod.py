@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skorochaos.chaos import ChaosFunctional, constant_functional, eval_functional, first_order
+from skorochaos.chaos import (
+    ChaosFunctional,
+    constant_functional,
+    eval_functional,
+    first_order,
+    functional_from_text,
+)
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import tensor_power
+from skorochaos.kernels import kernel_from_text, tensor_power
 from skorochaos.paths import StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
@@ -205,6 +211,72 @@ def test_process_text_round_trip(grid8):
         for b in range(grid8.n_cells + 1)
     )
     assert worst == 0.0
+
+
+READERS = {"kernel": kernel_from_text, "functional": functional_from_text, "process": process_from_text}
+NO_KERNELS = "functional cells 1 mean 0.0 kernels 0"
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("kernel", ""),
+        ("kernel", "order 1 cells\n"),
+        ("kernel", "order 1 cells 4 junk\n1=1.0\n"),
+        ("kernel", "order 1 cells 4\n1=nan\n"),
+        ("kernel", "order 1 cells 4\n1=1.0\n1=2.0\n"),
+        ("kernel", "order 1 cells 4\n1=1.0\n\n2=1.0\n"),
+        ("functional", "functional cells 4"),
+        ("functional", "functional cells 4 mean inf kernels 0"),
+        ("functional", "functional cells 4 mean 0.0 kernels 1\n"),
+        ("functional", "functional cells 4 mean 0.0 kernels 2\norder 1 cells 4\n1=1.0\n\norder 1 cells 4\n2=1.0\n"),
+        ("process", "skorohod cells"),
+        ("process", "skorohod cells 1 provenance direct extra"),
+        ("process", f"skorohod cells 1 provenance direct\nboundary 7\n{NO_KERNELS}\nboundary 3\n{NO_KERNELS}"),
+        ("process", f"skorohod cells 1 provenance direct\nboundary 0\n{NO_KERNELS}"),
+        ("process", f"skorohod cells 1 provenance direct\n{NO_KERNELS}\n{NO_KERNELS}"),
+    ],
+)
+def test_text_readers_reject_malformed_input(reader, text):
+    with pytest.raises(ValueError):
+        READERS[reader](io.StringIO(text))
+
+
+def _round_trip_lines():
+    buf = io.StringIO()
+    process_to_text(skorohod_process(terminal_plus_path(Grid(2))), buf)
+    return buf.getvalue().splitlines()
+
+
+def _swap_word(line, i, word):
+    words = line.split()
+    if words:
+        words[i % len(words)] = word
+    return " ".join(words)
+
+
+_VALID = st.sampled_from(_round_trip_lines())
+_TOKENS = st.sampled_from(
+    ["skorohod", "functional", "order", "cells", "mean", "kernels", "provenance", "boundary", "direct",
+     "0", "1", "2", "3", "-1", "0.5", "nan", "inf", "1e999", "1=0.5", "1,2=1.0", "2,1=1.0", "="]
+)
+# valid lines, valid lines cut short or with one word swapped, and noise
+_LINES = st.one_of(
+    _VALID,
+    st.builds(lambda line, k: " ".join(line.split()[:k]), _VALID, st.integers(0, 6)),
+    st.builds(_swap_word, _VALID, st.integers(0, 6), _TOKENS),
+    st.lists(_TOKENS, max_size=8).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(READERS)), lines=st.lists(_LINES, max_size=16))
+def test_text_readers_raise_only_value_error(reader, lines):
+    try:
+        READERS[reader](io.StringIO("\n".join(lines)))
+    except ValueError:
+        pass
 
 
 def step_coeff_strategy(grid):
