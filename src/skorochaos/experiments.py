@@ -11,6 +11,7 @@ byte of output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -119,10 +120,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in spec.fields:
             f, value = FIELDS[name], getattr(self, name)
+            if not _has_type(value, f.type):
+                raise ValueError(f"{name}={value!r} is not {'an integer' if f.type is int else 'a real number'}")
             if f.ok is not None and not f.ok(value):
                 raise ValueError(f"{name}={value!r} {f.rule}")
         for rule in spec.rules:
             rule(self)
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    """int fields take integers, float fields any real number; neither takes a bool."""
+    abstract = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, abstract) and not isinstance(value, bool)
 
 
 def _within_cell_cap(cfg: ExperimentConfig) -> None:
@@ -401,7 +410,7 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
         if abs(row.z) > 3.0:
             res.failures.append(f"stopping: optional sampling z={row.z:.2f} for {row.test_variable}")
 
-    small = sample_paths(grid, min(cfg.paths, 100), cfg.seed + 1, cfg.workers)
+    small = sample_paths(grid, min(cfg.paths, 100), (cfg.seed + 1) % 2**64, cfg.workers)
     rules = [
         GridStoppingTime.deterministic(grid, 0.5),
         GridStoppingTime.level_hitting(grid, 0.3),

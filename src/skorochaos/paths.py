@@ -4,11 +4,30 @@ A path is the vector of cell increments of a Brownian motion on the grid;
 a batch holds ``count`` paths as a (count, n_cells) float64 array.  Every
 path is drawn from its own counter-based substream keyed by (seed, path
 index), so path i has the same increments no matter the batch size,
-evaluation order, or worker count:
+evaluation order, or worker count.
 
-    key = seed | (path_index << 64)          (Philox 2x64-bit key)
-    u_j = (k_j + 1/2) * 2**-53,  k_j uniform on {0, .., 2**53 - 1}
+The substream is Philox4x64-10 (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11), with 64-bit words and arithmetic mod 2**64:
+
+    key     (k0, k1) = (seed, path_index),  0 <= seed < 2**64
+    counter (c0, c1, c2, c3) = (b + 1, 0, 0, 0) for output block b = 0, 1, ..
+    round   (h0, l0) = hi/lo words of the 128-bit product M0 * c0
+            (h1, l1) = hi/lo words of the 128-bit product M1 * c2
+            (c0, c1, c2, c3) <- (h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0)
+    10 rounds; before every round but the first, k0 += W0 and k1 += W1
+    M0, M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+    W0, W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+Block b yields the words 4b .. 4b+3 in the order c0, c1, c2, c3, and path
+i uses its first n_cells words w_j:
+
+    k_j = w_j >> 11                           (uniform on {0, .., 2**53 - 1})
+    u_j = (k_j + 1/2) * 2**-53
     dX_j = ndtri(u_j) * sqrt(delta)
+
+This is the stream of ``np.random.Generator(np.random.Philox(key=seed |
+index << 64)).integers(0, 2**53)``; the sampler computes it for a block of
+paths at once.
 
 Step functions are deterministic, one value per cell; the isonormal value
 X(f) = sum_k f_k dX_k has covariance equal to the L^2 inner product.
@@ -137,10 +156,39 @@ class PathBatch:
         return PathBatch(self.grid, self.seed, self.increments[:count])
 
 
-def _path_uniform_bits(seed: int, index: int, n: int) -> np.ndarray:
-    key = (seed & 0xFFFFFFFFFFFFFFFF) | (index << 64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.integers(0, 1 << 53, size=n, dtype=np.int64)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_BLOCK_PATHS = 4096  # paths sampled together; bounds the size of temporaries
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> np.uint64(32)
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    cross = (lo_lo >> np.uint64(32)) + (hi_lo & _LO32) + lo_hi
+    hi = x_hi * m_hi + (hi_lo >> np.uint64(32)) + (cross >> np.uint64(32))
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """The first ``n`` Philox4x64-10 words of paths lo..hi-1, (hi - lo, n) uint64."""
+    n_blocks = -(-n // 4)
+    shape = (hi - lo, n_blocks)
+    k0, k1 = int(seed), np.arange(lo, hi, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _U64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        h0, l0 = _mulhilo(_PHILOX_M[0], c0)
+        h1, l1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = h1 ^ c1 ^ np.uint64(k0), l1, h0 ^ c3 ^ k1, l0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(hi - lo, 4 * n_blocks)[:, :n]
 
 
 def _chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
@@ -169,16 +217,20 @@ def sample_paths(grid: Grid, count: int, seed: int, workers: int = 1) -> PathBat
     """Draw ``count`` paths; bit-identical for any worker count."""
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed={seed!r} out of range 0..2**64-1")
     n = grid.n_cells
-    bits = np.empty((count, n), dtype=np.int64)
+    scale = np.sqrt(grid.delta)
+    increments = np.empty((count, n))
 
     def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            bits[i] = _path_uniform_bits(seed, i, n)
+        for a in range(lo, hi, _BLOCK_PATHS):
+            b = min(a + _BLOCK_PATHS, hi)
+            bits = _philox_words(seed, a, b, n) >> np.uint64(11)
+            uniforms = (bits + 0.5) * 2.0**-53
+            increments[a:b] = ndtri(uniforms) * scale
 
     map_path_chunks(fill, count, workers)
-    uniforms = (bits + 0.5) * 2.0**-53
-    increments = ndtri(uniforms) * np.sqrt(grid.delta)
     return PathBatch(grid, seed, increments)
 
 

@@ -563,6 +563,9 @@ def region_energy_bound(kernels: dict[tuple[int, int], SymKernel]) -> float:
 # text round trip for integral processes
 
 def process_to_text(Y: SkorohodProcess, fp: TextIO) -> None:
+    # the header is split on whitespace, so the provenance must be one nonempty word
+    if Y.provenance.split() != [Y.provenance]:
+        raise ValueError(f"provenance {Y.provenance!r} must be one word without whitespace")
     fp.write(f"skorohod cells {Y.grid.n_cells} provenance {Y.provenance}\n")
     for i, F in enumerate(Y.functionals):
         fp.write(f"boundary {i}\n")

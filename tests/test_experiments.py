@@ -94,6 +94,13 @@ def test_format_value_round_trips_floats():
         dict(experiment="stopping", workers=0),
         dict(experiment="isometry", seed=-1),
         dict(experiment="geometry", seed=2**64),
+        dict(N=8.0),
+        dict(N="8"),
+        dict(N=True),
+        dict(experiment="isometry", seed="1"),
+        dict(experiment="isometry", paths=1e5),
+        dict(experiment="reversal", t="0.5"),
+        dict(experiment="reversal", t=True),
     ],
 )
 def test_config_validation_rejects(overrides):

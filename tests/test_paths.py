@@ -1,14 +1,17 @@
 """Path sampling determinism, step functions, and batch round-trips."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from skorochaos.grid import Grid
 from skorochaos.paths import (
+    _BLOCK_PATHS,
     PathBatch,
     StepFunction,
     isonormal_eval,
@@ -44,6 +47,41 @@ def test_worker_count_never_changes_samples(workers):
     base = sample_paths(grid, 37, seed=13, workers=1)
     other = sample_paths(grid, 37, seed=13, workers=workers)
     assert base.increments.tobytes() == other.increments.tobytes()
+
+
+def _oracle_increments(grid, count, seed):
+    """The per-path stream: one numpy Philox generator keyed by (seed, path index)."""
+    n = grid.n_cells
+    bits = np.empty((count, n), dtype=np.int64)
+    for i in range(count):
+        gen = np.random.Generator(np.random.Philox(key=seed | (i << 64)))
+        bits[i] = gen.integers(0, 1 << 53, size=n, dtype=np.int64)
+    return ndtri((bits + 0.5) * 2.0**-53) * np.sqrt(grid.delta)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("width", [1, 5, 7, 8, 16, 64])
+def test_sampler_matches_per_path_philox_oracle(seed, width):
+    grid = Grid(width)
+    got = sample_paths(grid, 37, seed)
+    assert got.increments.tobytes() == _oracle_increments(grid, 37, seed).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sampler_matches_oracle_across_block_boundary(workers):
+    grid, count = Grid(5), _BLOCK_PATHS + 3
+    got = sample_paths(grid, count, seed=2**63 + 5, workers=workers)
+    assert got.increments.tobytes() == _oracle_increments(grid, count, 2**63 + 5).tobytes()
+
+
+def test_sampler_zero_paths(grid8):
+    assert sample_paths(grid8, 0, seed=1).increments.shape == (0, 8)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_rejected(grid8, seed):
+    with pytest.raises(ValueError, match=re.escape(str(seed))):
+        sample_paths(grid8, 4, seed)
 
 
 def test_increment_moments(grid16):

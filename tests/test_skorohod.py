@@ -213,6 +213,15 @@ def test_process_text_round_trip(grid8):
     assert worst == 0.0
 
 
+@pytest.mark.parametrize("provenance", ["my run", "", " direct", "direct\n", "a\tb"])
+def test_process_to_text_rejects_unreadable_provenance(provenance):
+    Y = skorohod_process(terminal_plus_path(Grid(2)), provenance)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="provenance"):
+        process_to_text(Y, buf)
+    assert buf.getvalue() == ""
+
+
 READERS = {"kernel": kernel_from_text, "functional": functional_from_text, "process": process_from_text}
 NO_KERNELS = "functional cells 1 mean 0.0 kernels 0"
 
