@@ -66,14 +66,10 @@ class BFSummand:
     def __post_init__(self):
         if not 0 <= self.lo < self.hi <= self.grid.n_cells:
             raise ValueError(f"bad window boundaries ({self.lo}, {self.hi}]")
-        for f in self.forward.kernels.values():
-            for mu in f.data:
-                if mu[-1] > self.lo:
-                    raise ValueError("forward factor has support past the window start")
-        for f in self.backward.kernels.values():
-            for mu in f.data:
-                if mu[0] <= self.hi:
-                    raise ValueError("backward factor has support before the window end")
+        if any(c > self.lo for c in self.forward.cells()):
+            raise ValueError("forward factor has support past the window start")
+        if any(c <= self.hi for c in self.backward.cells()):
+            raise ValueError("backward factor has support before the window end")
 
     def forward_martingale(self, b: int) -> ChaosFunctional:
         """E[G1 * window increment | increments up to boundary b]."""
@@ -144,7 +140,7 @@ def split_two_sided(
     rights: set[tuple[int, ...]] = {()}
     entries: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
     for n, f in F.kernels.items():
-        for mu, v in f.data.items():
+        for mu, v in f.items():
             mu_l = tuple(c for c in mu if c <= lo)
             mu_r = tuple(c for c in mu if c > lo)
             if any(c <= hi for c in mu_r):

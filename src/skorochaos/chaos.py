@@ -25,8 +25,8 @@ import numpy as np
 
 from .grid import Grid, TimeSet
 from .kernels import (
-    MAX_ORDER, SymKernel, contract, kernel_to_text, next_line, parse_finite, parse_header, project,
-    read_kernel_block, read_text, tensor_power,
+    MAX_ORDER, SymKernel, contract, from_step, kernel_to_text, next_line, parse_finite, parse_header, project,
+    read_kernel_block, read_text, remove_cell, tensor_power,
 )
 from .paths import PathBatch, StepFunction, map_path_chunks
 
@@ -75,10 +75,13 @@ class ChaosFunctional:
                 raise ValueError("kernel grid differs from functional grid")
             if f.order != n:
                 raise ValueError(f"kernel of order {f.order} filed under {n}")
-            if f.data:
+            if len(f):
                 ks[n] = f
+        mean = float(mean)
+        if not math.isfinite(mean):
+            raise ValueError(f"functional mean {mean!r} is not finite")
         self.grid = grid
-        self.mean = float(mean)
+        self.mean = mean
         self.kernels = ks
 
     @property
@@ -87,6 +90,10 @@ class ChaosFunctional:
 
     def kernel(self, n: int) -> SymKernel:
         return self.kernels.get(n, SymKernel.zero(self.grid, n))
+
+    def cells(self) -> set[int]:
+        """The cells that some kernel of the functional touches."""
+        return set().union(*(f.cells() for f in self.kernels.values()))
 
     def expectation(self) -> float:
         return self.mean
@@ -121,9 +128,6 @@ class ChaosFunctional:
     def sub(self, other: "ChaosFunctional") -> "ChaosFunctional":
         return self.add(other.scaled(-1.0))
 
-    def shifted(self, c: float) -> "ChaosFunctional":
-        return ChaosFunctional(self.grid, self.mean + c, self.kernels)
-
     def max_abs_diff(self, other: "ChaosFunctional") -> float:
         self._check(other)
         worst = abs(self.mean - other.mean)
@@ -149,10 +153,7 @@ def constant_functional(grid: Grid, c: float) -> ChaosFunctional:
 
 def first_order(h: StepFunction) -> ChaosFunctional:
     """I_1(h), the isonormal evaluation at a step function."""
-    from .kernels import from_step
-
-    k = from_step(h)
-    return ChaosFunctional(h.grid, 0.0, {1: k} if k.data else {})
+    return ChaosFunctional(h.grid, 0.0, {1: from_step(h)})
 
 
 def hermite_functional(h: StepFunction, n: int) -> ChaosFunctional:
@@ -170,7 +171,7 @@ def _compile(F: ChaosFunctional) -> list[tuple[float, tuple[tuple[int, int], ...
     prog = []
     for n, f in sorted(F.kernels.items()):
         base = math.factorial(n) * F.grid.delta ** (n / 2.0)
-        for mu, v in f.data.items():
+        for mu, v in f.items():
             factors = tuple((len(tuple(g)), c) for c, g in itertools.groupby(mu))
             prog.append((base * v, factors))
     return prog
@@ -232,16 +233,8 @@ def malliavin_derivative(F: ChaosFunctional, cell: int) -> ChaosFunctional:
     for n, f in F.kernels.items():
         if n == 1:
             mean += f.value((cell,))
-            continue
-        vals: dict[tuple[int, ...], float] = {}
-        for mu, v in f.data.items():
-            if cell not in mu:
-                continue
-            nu = list(mu)
-            nu.remove(cell)
-            vals[tuple(nu)] = n * v
-        if vals:
-            ks[n - 1] = SymKernel(F.grid, n - 1, vals)
+        else:
+            ks[n - 1] = remove_cell(f, cell)
     return ChaosFunctional(F.grid, mean, ks)
 
 

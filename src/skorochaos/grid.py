@@ -79,15 +79,6 @@ class Grid:
     def cells(self) -> range:
         return range(1, self.n_cells + 1)
 
-    def boundaries(self) -> range:
-        return range(self.n_cells + 1)
-
-    def reversed_cell(self, k: int) -> int:
-        """Cell index after time reversal t -> 1 - t (an involution)."""
-        if not 1 <= k <= self.n_cells:
-            raise ValueError(f"cell {k} out of range 1..{self.n_cells}")
-        return self.n_cells + 1 - k
-
     @property
     def depth(self) -> int:
         """log2(n_cells) for power-of-two grids."""
@@ -102,8 +93,8 @@ class TimeSet:
     """A union of whole grid cells, used as the index set of a sigma-field.
 
     ``TimeSet.from_interval(g, a, b)`` is the half-open interval (a, b];
-    complements and unions stay cell-aligned so conditional expectations
-    reduce to keeping kernels supported inside the set.
+    complements stay cell-aligned so conditional expectations reduce to
+    keeping kernels supported inside the set.
     """
 
     grid: Grid
@@ -122,10 +113,6 @@ class TimeSet:
         return cls(grid, frozenset(range(ia + 1, ib + 1)))
 
     @classmethod
-    def full(cls, grid: Grid) -> "TimeSet":
-        return cls(grid, frozenset(grid.cells()))
-
-    @classmethod
     def empty(cls, grid: Grid) -> "TimeSet":
         return cls(grid, frozenset())
 
@@ -136,28 +123,6 @@ class TimeSet:
 
     def complement(self) -> "TimeSet":
         return TimeSet(self.grid, frozenset(self.grid.cells()) - self.cells)
-
-    def union(self, other: "TimeSet") -> "TimeSet":
-        self._check(other)
-        return TimeSet(self.grid, self.cells | other.cells)
-
-    def intersection(self, other: "TimeSet") -> "TimeSet":
-        self._check(other)
-        return TimeSet(self.grid, self.cells & other.cells)
-
-    __or__ = union
-    __and__ = intersection
-
-    def reversed(self) -> "TimeSet":
-        """Image of the set under t -> 1 - t."""
-        return TimeSet(self.grid, frozenset(self.grid.reversed_cell(k) for k in self.cells))
-
-    def contains_multiset(self, mu: Sequence[int]) -> bool:
-        return all(k in self.cells for k in mu)
-
-    def _check(self, other: "TimeSet") -> None:
-        if other.grid != self.grid:
-            raise ValueError("time sets live on different grids")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,14 @@ a multiset recovers Lebesgue integrals, e.g.
 where m_j are the multiplicities of mu.  The module implements the kernel
 algebra needed by the chaos calculus: symmetrization, symmetrized tensor
 products and contractions, projections onto cell sets, restriction by the
-number of variables below a threshold, and time reversal.
+number of variables below a threshold, time reversal, and the cell maps of
+the Malliavin derivative and the Skorohod integral.
+
+This is the only module that builds, edits or checks a multiset; others
+read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
+Multisets are checked once, where they enter: the public ``SymKernel``
+constructor (which the text reader uses) and ``RawTensor``.  The maps
+build their results through a private constructor that only drops zeros.
 
 Desk-scale caps: kernels accept at most MAX_CELLS cells and order at most
 MAX_ORDER.  Dense constructors additionally refuse to enumerate more than
@@ -22,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from .grid import Grid, TimeSet
@@ -38,6 +47,10 @@ __all__ = [
     "project",
     "restrict_below_count",
     "reverse_kernel",
+    "remove_cell",
+    "add_cell",
+    "move_cell",
+    "stored_multisets",
     "tensor_power",
     "from_step",
     "constant_kernel",
@@ -103,39 +116,75 @@ def _split_weight(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return w
 
 
+def _check_shape(grid: Grid, order: int, what: str = "kernel") -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"{what} order {order} outside the supported range 1..{MAX_ORDER}")
+    if grid.n_cells > MAX_CELLS:
+        raise ValueError(f"kernels support at most {MAX_CELLS} cells, grid has {grid.n_cells}")
+
+
+def _checked_entries(
+    grid: Grid, order: int, values: Mapping[tuple[int, ...], float], what: str, need_sorted: bool
+) -> dict[tuple[int, ...], float]:
+    """Entries given from outside, checked one by one; zero values are dropped."""
+    data: dict[tuple[int, ...], float] = {}
+    for tup, v in values.items():
+        tup = tuple(tup)
+        if len(tup) != order:
+            raise ValueError(f"{what} {tup} does not have order {order}")
+        if any(isinstance(c, bool) or not isinstance(c, Integral) for c in tup):
+            raise ValueError(f"{what} {tup} has a cell that is not an integer")
+        tup = tuple(int(c) for c in tup)
+        if need_sorted and list(tup) != sorted(tup):
+            raise ValueError(f"{what} {tup} is not sorted")
+        if min(tup) < 1 or max(tup) > grid.n_cells:
+            raise ValueError(f"{what} {tup} outside cells 1..{grid.n_cells}")
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"{what} {tup} has the non-finite value {v!r}")
+        if v != 0.0:
+            data[tup] = v
+    return data
+
+
 class SymKernel:
     """Immutable sparse symmetric kernel of a fixed order on a grid."""
 
     __slots__ = ("grid", "order", "data")
 
     def __init__(self, grid: Grid, order: int, values: Mapping[tuple[int, ...], float]):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"kernel order {order} outside the supported range 1..{MAX_ORDER}")
-        if grid.n_cells > MAX_CELLS:
-            raise ValueError(f"kernels support at most {MAX_CELLS} cells, grid has {grid.n_cells}")
-        data: dict[tuple[int, ...], float] = {}
-        for mu, v in values.items():
-            if len(mu) != order:
-                raise ValueError(f"multiset {mu} does not have order {order}")
-            if tuple(sorted(mu)) != tuple(mu):
-                raise ValueError(f"multiset {mu} is not sorted")
-            if mu[0] < 1 or mu[-1] > grid.n_cells:
-                raise ValueError(f"multiset {mu} outside cells 1..{grid.n_cells}")
-            if v != 0.0:
-                data[tuple(mu)] = float(v)
+        _check_shape(grid, order)
         self.grid = grid
         self.order = order
-        self.data = data
+        self.data = _checked_entries(grid, order, values, "multiset", need_sorted=True)
+
+    @classmethod
+    def _built(cls, grid: Grid, order: int, values: Mapping[tuple[int, ...], float]) -> "SymKernel":
+        """A kernel on multisets this module built itself: zeros dropped, nothing checked."""
+        f = object.__new__(cls)
+        f.grid = grid
+        f.order = order
+        f.data = {mu: float(v) for mu, v in values.items() if v != 0.0}
+        return f
 
     @classmethod
     def zero(cls, grid: Grid, order: int) -> "SymKernel":
-        return cls(grid, order, {})
+        _check_shape(grid, order)
+        return cls._built(grid, order, {})
 
     def value(self, mu: Iterable[int]) -> float:
         return self.data.get(tuple(sorted(mu)), 0.0)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
         return iter(self.data.items())
+
+    def __len__(self) -> int:
+        """Number of stored (nonzero) multisets."""
+        return len(self.data)
+
+    def cells(self) -> set[int]:
+        """The cells that some stored multiset touches."""
+        return {c for mu in self.data for c in mu}
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for v in self.data.values())
@@ -151,14 +200,14 @@ class SymKernel:
         return sum(v * big.get(mu, 0.0) * orderings(mu) for mu, v in small.items()) * d
 
     def scaled(self, c: float) -> "SymKernel":
-        return SymKernel(self.grid, self.order, {mu: v * c for mu, v in self.data.items()})
+        return SymKernel._built(self.grid, self.order, {mu: v * c for mu, v in self.data.items()})
 
     def add(self, other: "SymKernel") -> "SymKernel":
         self._check(other)
         out = dict(self.data)
         for mu, v in other.data.items():
             out[mu] = out.get(mu, 0.0) + v
-        return SymKernel(self.grid, self.order, out)
+        return SymKernel._built(self.grid, self.order, out)
 
     def sub(self, other: "SymKernel") -> "SymKernel":
         return self.add(other.scaled(-1.0))
@@ -182,19 +231,10 @@ class RawTensor:
     __slots__ = ("grid", "order", "data")
 
     def __init__(self, grid: Grid, order: int, values: Mapping[tuple[int, ...], float]):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"tensor order {order} outside 1..{MAX_ORDER}")
-        data: dict[tuple[int, ...], float] = {}
-        for tup, v in values.items():
-            if len(tup) != order:
-                raise ValueError(f"tuple {tup} does not have order {order}")
-            if any(not 1 <= c <= grid.n_cells for c in tup):
-                raise ValueError(f"tuple {tup} outside cells 1..{grid.n_cells}")
-            if v != 0.0:
-                data[tuple(tup)] = float(v)
+        _check_shape(grid, order, "tensor")
         self.grid = grid
         self.order = order
-        self.data = data
+        self.data = _checked_entries(grid, order, values, "tuple", need_sorted=False)
 
 
 def symmetrize(raw: RawTensor) -> SymKernel:
@@ -207,7 +247,7 @@ def symmetrize(raw: RawTensor) -> SymKernel:
     for tup, v in raw.data.items():
         mu = tuple(sorted(tup))
         acc[mu] = acc.get(mu, 0.0) + v
-    return SymKernel(raw.grid, raw.order, {mu: s / orderings(mu) for mu, s in acc.items()})
+    return SymKernel._built(raw.grid, raw.order, {mu: s / orderings(mu) for mu, s in acc.items()})
 
 
 def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
@@ -228,7 +268,7 @@ def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
             rho = _merge(mu, nu)
             acc[rho] = acc.get(rho, 0.0) + a * b * _split_weight(rho, mu)
     scale = 1.0 / math.comb(n, f.order)
-    return SymKernel(f.grid, n, {rho: v * scale for rho, v in acc.items()})
+    return SymKernel._built(f.grid, n, {rho: v * scale for rho, v in acc.items()})
 
 
 def _sub_multisets(counts: dict[int, int], size: int) -> Iterator[tuple[int, ...]]:
@@ -278,14 +318,15 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> SymKernel:
                 w = orderings(sigma) * dr * _split_weight(rho, mu)
                 acc[rho] = acc.get(rho, 0.0) + a * b * w
     scale = 1.0 / math.comb(n, f.order - r)
-    return SymKernel(f.grid, n, {rho: v * scale for rho, v in acc.items()})
+    return SymKernel._built(f.grid, n, {rho: v * scale for rho, v in acc.items()})
 
 
 def project(f: SymKernel, ts: TimeSet) -> SymKernel:
     """Keep multisets with every cell inside the set (kernel of E[. | F_A])."""
     if ts.grid != f.grid:
         raise ValueError("time set and kernel live on different grids")
-    return SymKernel(f.grid, f.order, {mu: v for mu, v in f.data.items() if ts.contains_multiset(mu)})
+    inside = ts.cells
+    return SymKernel._built(f.grid, f.order, {mu: v for mu, v in f.data.items() if inside.issuperset(mu)})
 
 
 def restrict_below_count(f: SymKernel, q: int, t: float) -> SymKernel:
@@ -299,16 +340,59 @@ def restrict_below_count(f: SymKernel, q: int, t: float) -> SymKernel:
     if not 0 <= q <= f.order:
         raise ValueError(f"count {q} out of range 0..{f.order}")
     b = f.grid.boundary_index(t)
-    out = {mu: v for mu, v in f.data.items() if sum(1 for c in mu if c <= b) == q}
-    return SymKernel(f.grid, f.order, out)
+    return SymKernel._built(f.grid, f.order, {mu: v for mu, v in f.data.items() if bisect_right(mu, b) == q})
 
 
 def reverse_kernel(f: SymKernel) -> SymKernel:
     """Kernel of the time-reversed functional: cell k maps to n + 1 - k."""
     n = f.grid.n_cells
-    return SymKernel(
-        f.grid, f.order, {tuple(sorted(n + 1 - c for c in mu)): v for mu, v in f.data.items()}
-    )
+    return SymKernel._built(f.grid, f.order, {tuple(n + 1 - c for c in reversed(mu)): v for mu, v in f.data.items()})
+
+
+def remove_cell(f: SymKernel, c: int) -> SymKernel:
+    """nu -> n * f(nu + c), of order n - 1: the kernel of D_c I_n(f)."""
+    if f.order == 1:
+        raise ValueError("removing a cell from an order-1 kernel leaves a constant; read value((c,))")
+    return SymKernel._built(f.grid, f.order - 1, {_remove(mu, (c,)): f.order * v for mu, v in f.data.items() if c in mu})
+
+
+def add_cell(f: SymKernel, c: int) -> SymKernel:
+    """rho -> f(rho - c) * m_c(rho) / (n + 1), of order n + 1, m_c the multiplicity of c.
+
+    This is the kernel of the Skorohod integral of I_n(f) over cell c.
+    """
+    if f.order == MAX_ORDER:
+        raise ValueError(f"kernel order {f.order + 1} outside the supported range 1..{MAX_ORDER}")
+    out: dict[tuple[int, ...], float] = {}
+    for nu, v in f.data.items():
+        rho = _merge(nu, (c,))
+        out[rho] = v * rho.count(c) / (f.order + 1)
+    return SymKernel._built(f.grid, f.order + 1, out)
+
+
+def move_cell(f: SymKernel, a: int, c: int, weight: float) -> SymKernel:
+    """rho -> f(rho - c + a) * weight * m_c(rho): one copy of cell a moves to cell c."""
+    out: dict[tuple[int, ...], float] = {}
+    for mu, v in f.data.items():
+        if a in mu:
+            rho = _merge(_remove(mu, (a,)), (c,))
+            out[rho] = v * weight * rho.count(c)
+    return SymKernel._built(f.grid, f.order, out)
+
+
+def stored_multisets(kernels: Iterable[SymKernel]) -> set[tuple[int, ...]]:
+    """Every multiset that one of the kernels stores.
+
+    The set is filled with ``set.update`` on each kernel's dict in turn.
+    CPython sizes the table differently when a set is filled from a dict
+    than one item at a time, so the iteration order, which sets the order
+    of ``extract_region_kernels``' output and so of its ``norm_sq`` sums,
+    depends on filling it this way.
+    """
+    out: set[tuple[int, ...]] = set()
+    for f in kernels:
+        out.update(f.data)
+    return out
 
 
 def _dense_guard(grid: Grid, order: int) -> None:
@@ -321,8 +405,7 @@ def _dense_guard(grid: Grid, order: int) -> None:
 
 def tensor_power(h: StepFunction, order: int) -> SymKernel:
     """h^{(x) order}: value at a multiset is the product of cell values."""
-    if h.grid.n_cells > MAX_CELLS:
-        raise ValueError(f"kernels support at most {MAX_CELLS} cells")
+    _check_shape(h.grid, order)
     _dense_guard(h.grid, order)
     support = [k for k in h.grid.cells() if h.values[k - 1] != 0.0]
     out: dict[tuple[int, ...], float] = {}
@@ -331,17 +414,19 @@ def tensor_power(h: StepFunction, order: int) -> SymKernel:
         for c in mu:
             v *= h.values[c - 1]
         out[mu] = v
-    return SymKernel(h.grid, order, out)
+    return SymKernel._built(h.grid, order, out)
 
 
 def from_step(h: StepFunction) -> SymKernel:
-    return SymKernel(h.grid, 1, {(k,): float(h.values[k - 1]) for k in h.grid.cells() if h.values[k - 1] != 0.0})
+    _check_shape(h.grid, 1)
+    return SymKernel._built(h.grid, 1, {(k,): h.values[k - 1] for k in h.grid.cells()})
 
 
 def constant_kernel(grid: Grid, order: int, value: float) -> SymKernel:
+    _check_shape(grid, order)
     _dense_guard(grid, order)
     cells = list(grid.cells())
-    return SymKernel(grid, order, {mu: value for mu in itertools.combinations_with_replacement(cells, order)})
+    return SymKernel._built(grid, order, {mu: value for mu in itertools.combinations_with_replacement(cells, order)})
 
 
 # ---------------------------------------------------------------------------

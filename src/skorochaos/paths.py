@@ -58,6 +58,7 @@ __all__ = [
 
 _MAGIC = 0x534B504231303030  # "SKPB1000"
 _FORMAT_VERSION = 1
+_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,8 @@ class PathBatch:
     increments: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed <= _U64:
+            raise ValueError(f"seed={self.seed!r} out of range 0..2**64-1")
         inc = np.ascontiguousarray(self.increments, dtype=float)
         if inc.ndim != 2 or inc.shape[1] != self.grid.n_cells:
             raise ValueError(f"increments shape {inc.shape} does not match {self.grid.n_cells} cells")
@@ -159,7 +162,6 @@ class PathBatch:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_U64 = (1 << 64) - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _BLOCK_PATHS = 4096  # paths sampled together; bounds the size of temporaries
 
@@ -255,7 +257,7 @@ def reverse_batch(batch: PathBatch) -> PathBatch:
 
 def write_batch(fp: BinaryIO, batch: PathBatch) -> None:
     header = struct.pack(
-        "<5Q", _MAGIC, _FORMAT_VERSION, batch.grid.n_cells, batch.count, batch.seed & 0xFFFFFFFFFFFFFFFF
+        "<5Q", _MAGIC, _FORMAT_VERSION, batch.grid.n_cells, batch.count, batch.seed
     )
     fp.write(header)
     data = np.ascontiguousarray(batch.increments, dtype="<f8")

@@ -113,10 +113,8 @@ def backward_ito_eval(
     n = grid.n_cells
     start = grid.boundary_index(1.0 - t)
     for j in range(start + 1, n + 1):
-        for f in phi.at_cell(j).kernels.values():
-            for mu in f.data:
-                if mu[-1] >= j:
-                    raise ValueError(f"integrand at reversed cell {j} is not predictable")
+        if any(c >= j for c in phi.at_cell(j).cells()):
+            raise ValueError(f"integrand at reversed cell {j} is not predictable")
     rev = reverse_batch(batch)
     window = list(range(start + 1, n + 1))
     if not window:

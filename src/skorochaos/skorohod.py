@@ -39,7 +39,9 @@ from .chaos import (
     multiply,
 )
 from .grid import Grid, Partition, TimeSet
-from .kernels import SymKernel, next_line, parse_header, read_text
+from .kernels import (
+    SymKernel, add_cell, move_cell, next_line, parse_header, read_text, restrict_below_count, stored_multisets,
+)
 from .paths import PathBatch
 
 __all__ = [
@@ -103,10 +105,6 @@ class ChaosProcess:
     def max_order(self) -> int:
         return max((F.max_order for F in self.functionals), default=0)
 
-    def l2_norm_sq(self) -> float:
-        """Integral over time of the second moment."""
-        return self.grid.delta * sum(F.second_moment() for F in self.functionals)
-
     def sobolev_norm_sq(self) -> float:
         """L2 norm of the process plus L2 norm of its derivative field.
 
@@ -120,14 +118,6 @@ class ChaosProcess:
                 s += (1 + j) * math.factorial(j) * f.norm_sq()
             total += s
         return total * self.grid.delta
-
-    def is_adapted(self) -> bool:
-        """Every value measurable in the increments up to its own cell."""
-        return all(
-            all(mu[-1] <= k for mu in f.data)
-            for k, F in zip(self.grid.cells(), self.functionals)
-            for f in F.kernels.values()
-        )
 
     def _check(self, other: "ChaosProcess") -> None:
         if other.grid != self.grid:
@@ -179,12 +169,8 @@ class StepProcess:
         for (lo, hi), F in zip(self.partition.intervals(), self.values):
             if F.grid != self.grid:
                 raise ValueError("functional grid differs from process grid")
-            for f in F.kernels.values():
-                for mu in f.data:
-                    if any(lo < c <= hi for c in mu):
-                        raise ValueError(
-                            f"step value on cells ({lo}, {hi}] has kernel support inside its interval"
-                        )
+            if any(lo < c <= hi for c in F.cells()):
+                raise ValueError(f"step value on cells ({lo}, {hi}] has kernel support inside its interval")
 
     def as_process(self) -> ChaosProcess:
         fs: list[ChaosFunctional] = []
@@ -233,38 +219,36 @@ class SkorohodProcess:
         return f"SkorohodProcess(cells={self.grid.n_cells}, provenance={self.provenance!r})"
 
 
-def skorohod_process(u: ChaosProcess, provenance: str = "direct") -> SkorohodProcess:
-    """Integrate u cell by cell, snapshotting the kernels at each boundary."""
+def _partial_integrals(u: ChaosProcess, b: int) -> list[ChaosFunctional]:
+    """The integrals of u over (0, t_i] for boundaries i = 0..b, cell by cell.
+
+    Over cell c the integral adds the cell to every kernel of u_c (and
+    turns the mean into a first-order term); the sums run in cell order.
+    """
     grid = u.grid
-    acc_mean_k1: dict[tuple[int, ...], float] = {}
-    acc: dict[int, dict[tuple[int, ...], float]] = {}
-    snapshots = [ChaosFunctional(grid, 0.0, {})]
-    for c in grid.cells():
+    first: SymKernel | None = None
+    higher: dict[int, SymKernel] = {}
+    out = [ChaosFunctional(grid, 0.0, {})]
+    for c in range(1, b + 1):
         F = u.at_cell(c)
         if F.mean != 0.0:
-            acc_mean_k1[(c,)] = acc_mean_k1.get((c,), 0.0) + F.mean
+            k = SymKernel(grid, 1, {(c,): F.mean})
+            first = k if first is None else first.add(k)
         for j, g in F.kernels.items():
-            l = j + 1
-            dest = acc.setdefault(l, {})
-            for nu, val in g.data.items():
-                rho = tuple(sorted(nu + (c,)))
-                mult = rho.count(c)
-                dest[rho] = dest.get(rho, 0.0) + val * mult / l
-        kernels: dict[int, SymKernel] = {}
-        if acc_mean_k1:
-            kernels[1] = SymKernel(grid, 1, dict(acc_mean_k1))
-        for l, d in acc.items():
-            if d:
-                base = SymKernel(grid, l, dict(d))
-                kernels[l] = kernels[l].add(base) if l in kernels else base
-        snapshots.append(ChaosFunctional(grid, 0.0, kernels))
-    return SkorohodProcess(grid, snapshots, provenance)
+            k = add_cell(g, c)
+            higher[j + 1] = higher[j + 1].add(k) if j + 1 in higher else k
+        out.append(ChaosFunctional(grid, 0.0, {1: first, **higher} if first is not None else higher))
+    return out
+
+
+def skorohod_process(u: ChaosProcess, provenance: str = "direct") -> SkorohodProcess:
+    """Integrate u cell by cell, snapshotting the kernels at each boundary."""
+    return SkorohodProcess(u.grid, _partial_integrals(u, u.grid.n_cells), provenance)
 
 
 def skorohod_integral(u: ChaosProcess, t: float) -> ChaosFunctional:
     """The integral of u over (0, t] for a boundary time t."""
-    b = u.grid.boundary_index(t)
-    return skorohod_process(u).at_boundary(b)
+    return _partial_integrals(u, u.grid.boundary_index(t))[-1]
 
 
 def martingale_defect(Y: SkorohodProcess, s: float, t: float) -> float:
@@ -275,11 +259,7 @@ def martingale_defect(Y: SkorohodProcess, s: float, t: float) -> float:
     """
     diff = Y.at_time(t).sub(Y.at_time(s))
     cond = conditional_expectation(diff, TimeSet.outside_interval(Y.grid, s, t))
-    worst = abs(cond.mean)
-    for f in cond.kernels.values():
-        for v in f.data.values():
-            worst = max(worst, abs(v))
-    return worst
+    return cond.max_abs_diff(ChaosFunctional(Y.grid))
 
 
 def ito_skorohod_integrand(u: ChaosProcess) -> ChaosProcess:
@@ -298,24 +278,15 @@ def ito_skorohod_integrand(u: ChaosProcess) -> ChaosProcess:
     out: list[ChaosFunctional] = []
     for a in grid.cells():
         base = u.at_cell(a)
-        add: dict[int, dict[tuple[int, ...], float]] = {}
-        for cs in grid.cells():
-            w = 1.0 if cs < a else (0.5 if cs == a else 0.0)
-            if w == 0.0:
-                continue
-            F = u.at_cell(cs)
-            for j, g in F.kernels.items():
-                for sigma, val in g.data.items():
-                    if a not in sigma:
-                        continue
-                    nu = list(sigma)
-                    nu.remove(a)
-                    rho = tuple(sorted(nu + [cs]))
-                    dest = add.setdefault(j, {})
-                    dest[rho] = dest.get(rho, 0.0) + val * w * rho.count(cs)
+        add: dict[int, SymKernel] = {}
+        for cs in range(1, a + 1):
+            w = 1.0 if cs < a else 0.5
+            for j, g in u.at_cell(cs).kernels.items():
+                if any(a in mu for mu, _ in g.items()):
+                    k = move_cell(g, a, cs, w)
+                    add[j] = add[j].add(k) if j in add else k
         kernels = dict(base.kernels)
-        for j, d in add.items():
-            k = SymKernel(grid, j, d)
+        for j, k in add.items():
             kernels[j] = kernels[j].add(k) if j in kernels else k
         out.append(ChaosFunctional(grid, base.mean, kernels))
     return ChaosProcess(grid, out)
@@ -463,11 +434,7 @@ def extract_region_kernels(
     full = skorohod_process(u) if Y is None else Y
     out: dict[tuple[int, int], SymKernel] = {}
     for l in range(1, full.at_boundary(grid.n_cells).max_order + 1):
-        support = set()
-        for F in full.functionals:
-            kern = F.kernels.get(l)
-            if kern:
-                support.update(kern.data)
+        support = stored_multisets(F.kernels[l] for F in full.functionals if l in F.kernels)
         for q in range(0, l + 1):
             vals: dict[tuple[int, ...], float] = {}
             for mu in support:
@@ -499,11 +466,7 @@ def _check_read_off(
 ) -> None:
     grid = Y.grid
     for (l, q), f in kernels.items():
-        support = set(f.data)
-        for F in Y.functionals:
-            kern = F.kernels.get(l)
-            if kern:
-                support.update(kern.data)
+        support = stored_multisets([f, *(F.kernels[l] for F in Y.functionals if l in F.kernels)])
         for mu in support:
             # achievable: some boundary has exactly q cells of mu at or before it
             if q == 0:
@@ -525,18 +488,14 @@ def resynthesize(grid: Grid, kernels: dict[tuple[int, int], SymKernel]) -> Skoro
     orders = sorted({l for l, _ in kernels})
     snapshots = []
     for b in range(grid.n_cells + 1):
+        t = grid.boundary_value(b)
         ks: dict[int, SymKernel] = {}
         for l in orders:
-            merged: dict[tuple[int, ...], float] = {}
+            # the count below t picks one q for each multiset, so the pieces are disjoint
+            ks[l] = SymKernel.zero(grid, l)
             for q in range(0, l + 1):
-                f = kernels.get((l, q))
-                if f is None:
-                    continue
-                for mu, v in f.data.items():
-                    if sum(1 for c in mu if c <= b) == q:
-                        merged[mu] = v
-            if merged:
-                ks[l] = SymKernel(grid, l, merged)
+                if (l, q) in kernels:
+                    ks[l] = ks[l].add(restrict_below_count(kernels[l, q], q, t))
         snapshots.append(ChaosFunctional(grid, 0.0, ks))
     return SkorohodProcess(grid, snapshots, "region-synthesis")
 

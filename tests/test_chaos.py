@@ -191,6 +191,12 @@ def test_duality_of_derivative_and_integral(grid8):
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
+@pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+def test_functional_validation_errors(mean):
+    with pytest.raises(ValueError, match="not finite"):
+        ChaosFunctional(GRID, mean)
+
+
 def test_text_round_trip(grid8):
     F = ChaosFunctional(
         grid8,

@@ -38,11 +38,6 @@ def test_non_finite_time_rejected(grid8, t):
         grid8.boundary_index(t)
 
 
-def test_cell_reversal_involution(grid16):
-    for k in grid16.cells():
-        assert grid16.reversed_cell(grid16.reversed_cell(k)) == k
-
-
 def test_timeset_interval_and_complement(grid8):
     ts = TimeSet.from_interval(grid8, 0.25, 0.75)
     assert ts.cells == frozenset({3, 4, 5, 6})

@@ -1,0 +1,253 @@
+"""Kernel maps: exact agreement with the dict oracles, and well-formed outputs.
+
+The ``oracle_*`` functions are the implementations of four kernel
+builders that edited ``SymKernel.data`` directly, before the multiset
+arithmetic moved into ``skorochaos.kernels`` as kernel maps.  They build
+every result through the public ``SymKernel`` constructor, which checks
+each multiset; the library must agree with them exactly.
+
+The maps build their results through a private constructor that does not
+re-check the multisets, so the invariant test below checks every output
+itself: sorted multisets of the stated order, integer cells in range,
+float values and no stored zeros.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skorochaos.chaos import ChaosFunctional, malliavin_derivative
+from skorochaos.grid import Grid, TimeSet
+from skorochaos.kernels import (
+    RawTensor,
+    SymKernel,
+    add_cell,
+    constant_kernel,
+    contract,
+    from_step,
+    move_cell,
+    project,
+    remove_cell,
+    restrict_below_count,
+    reverse_kernel,
+    sym_tensor_product,
+    symmetrize,
+    tensor_power,
+)
+from skorochaos.paths import StepFunction
+from skorochaos.skorohod import (
+    ChaosProcess,
+    SkorohodProcess,
+    extract_region_kernels,
+    ito_skorohod_integrand,
+    resynthesize,
+    skorohod_integral,
+    skorohod_process,
+)
+
+VALUES = st.floats(min_value=-1e3, max_value=1e3)
+MEANS = VALUES.filter(lambda x: x != 0.0)
+
+
+def multisets(n_cells, order):
+    return st.lists(st.integers(1, n_cells), min_size=order, max_size=order).map(lambda xs: tuple(sorted(xs)))
+
+
+def kernels(grid, order):
+    return st.dictionaries(multisets(grid.n_cells, order), VALUES, min_size=1, max_size=5).map(
+        lambda d: SymKernel(grid, order, d)
+    )
+
+
+@st.composite
+def integrands(draw):
+    """A process on at most 8 cells; each cell has a nonzero mean and kernels of orders 1-3."""
+    grid = Grid(draw(st.integers(1, 8)))
+    cells = []
+    for _ in grid.cells():
+        orders = draw(st.lists(st.integers(1, 3), unique=True, max_size=3))
+        cells.append(ChaosFunctional(grid, draw(MEANS), {j: draw(kernels(grid, j)) for j in orders}))
+    return ChaosProcess(grid, cells)
+
+
+def oracle_malliavin_derivative(F, cell):
+    if not 1 <= cell <= F.grid.n_cells:
+        raise ValueError(f"cell {cell} outside grid")
+    mean = 0.0
+    ks = {}
+    for n, f in F.kernels.items():
+        if n == 1:
+            mean += f.value((cell,))
+            continue
+        vals = {}
+        for mu, v in f.data.items():
+            if cell not in mu:
+                continue
+            nu = list(mu)
+            nu.remove(cell)
+            vals[tuple(nu)] = n * v
+        if vals:
+            ks[n - 1] = SymKernel(F.grid, n - 1, vals)
+    return ChaosFunctional(F.grid, mean, ks)
+
+
+def oracle_skorohod_process(u, provenance="direct"):
+    grid = u.grid
+    acc_mean_k1 = {}
+    acc = {}
+    snapshots = [ChaosFunctional(grid, 0.0, {})]
+    for c in grid.cells():
+        F = u.at_cell(c)
+        if F.mean != 0.0:
+            acc_mean_k1[(c,)] = acc_mean_k1.get((c,), 0.0) + F.mean
+        for j, g in F.kernels.items():
+            l = j + 1
+            dest = acc.setdefault(l, {})
+            for nu, val in g.data.items():
+                rho = tuple(sorted(nu + (c,)))
+                mult = rho.count(c)
+                dest[rho] = dest.get(rho, 0.0) + val * mult / l
+        kernels = {}
+        if acc_mean_k1:
+            kernels[1] = SymKernel(grid, 1, dict(acc_mean_k1))
+        for l, d in acc.items():
+            if d:
+                base = SymKernel(grid, l, dict(d))
+                kernels[l] = kernels[l].add(base) if l in kernels else base
+        snapshots.append(ChaosFunctional(grid, 0.0, kernels))
+    return SkorohodProcess(grid, snapshots, provenance)
+
+
+def oracle_ito_skorohod_integrand(u):
+    grid = u.grid
+    out = []
+    for a in grid.cells():
+        base = u.at_cell(a)
+        add = {}
+        for cs in grid.cells():
+            w = 1.0 if cs < a else (0.5 if cs == a else 0.0)
+            if w == 0.0:
+                continue
+            F = u.at_cell(cs)
+            for j, g in F.kernels.items():
+                for sigma, val in g.data.items():
+                    if a not in sigma:
+                        continue
+                    nu = list(sigma)
+                    nu.remove(a)
+                    rho = tuple(sorted(nu + [cs]))
+                    dest = add.setdefault(j, {})
+                    dest[rho] = dest.get(rho, 0.0) + val * w * rho.count(cs)
+        kernels = dict(base.kernels)
+        for j, d in add.items():
+            k = SymKernel(grid, j, d)
+            kernels[j] = kernels[j].add(k) if j in kernels else k
+        out.append(ChaosFunctional(grid, base.mean, kernels))
+    return ChaosProcess(grid, out)
+
+
+def oracle_resynthesize(grid, kernels):
+    orders = sorted({l for l, _ in kernels})
+    snapshots = []
+    for b in range(grid.n_cells + 1):
+        ks = {}
+        for l in orders:
+            merged = {}
+            for q in range(0, l + 1):
+                f = kernels.get((l, q))
+                if f is None:
+                    continue
+                for mu, v in f.data.items():
+                    if sum(1 for c in mu if c <= b) == q:
+                        merged[mu] = v
+            if merged:
+                ks[l] = SymKernel(grid, l, merged)
+        snapshots.append(ChaosFunctional(grid, 0.0, ks))
+    return SkorohodProcess(grid, snapshots, "region-synthesis")
+
+
+def plain(F):
+    """Mean, kernel orders in stored order, and every kernel's data."""
+    return F.mean, list(F.kernels), {n: f.data for n, f in F.kernels.items()}
+
+
+def assert_same_functionals(got, want):
+    assert len(got) == len(want)
+    for F, G in zip(got, want):
+        assert plain(F) == plain(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=integrands())
+def test_builders_match_dict_oracles_exactly(u):
+    for F in u.functionals:
+        for c in u.grid.cells():
+            assert plain(malliavin_derivative(F, c)) == plain(oracle_malliavin_derivative(F, c))
+    assert_same_functionals(skorohod_process(u).functionals, oracle_skorohod_process(u).functionals)
+    assert_same_functionals(ito_skorohod_integrand(u).functionals, oracle_ito_skorohod_integrand(u).functionals)
+    region = extract_region_kernels(u)
+    assert_same_functionals(
+        resynthesize(u.grid, region).functionals, oracle_resynthesize(u.grid, region).functionals
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=integrands())
+def test_skorohod_integral_is_the_process_at_its_boundary(u):
+    Y = skorohod_process(u)
+    for b in range(u.grid.n_cells + 1):
+        F = skorohod_integral(u, u.grid.boundary_value(b))
+        assert F.max_abs_diff(Y.at_boundary(b)) == 0.0
+        assert plain(F) == plain(Y.at_boundary(b))
+
+
+def assert_well_formed(f, grid, order):
+    assert f.grid == grid and f.order == order
+    for mu, v in f.items():
+        assert type(mu) is tuple and len(mu) == order
+        assert list(mu) == sorted(mu)
+        assert all(type(c) is int and 1 <= c <= grid.n_cells for c in mu)
+        assert type(v) is float and v != 0.0
+
+
+@st.composite
+def map_inputs(draw):
+    grid = Grid(draw(st.integers(1, 6)))
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 5 - p))
+    f, g = draw(kernels(grid, p)), draw(kernels(grid, q))
+    return grid, f, g, draw(st.integers(1, grid.n_cells)), draw(st.integers(1, grid.n_cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=map_inputs(), c=VALUES, data=st.data())
+def test_every_map_output_is_well_formed(inputs, c, data):
+    grid, f, g, a, b = inputs
+    p, q = f.order, g.order
+    h = data.draw(kernels(grid, p))
+    step = StepFunction(grid, data.draw(st.lists(VALUES, min_size=grid.n_cells, max_size=grid.n_cells)))
+    cells = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
+    t = grid.boundary_value(data.draw(st.integers(0, grid.n_cells)))
+    raw = RawTensor(grid, p, {mu[::-1]: v for mu, v in f.items()})
+    outputs = [
+        (f.scaled(c), p),
+        (f.add(h), p),
+        (f.sub(h), p),
+        (f.add(f.scaled(-1.0)), p),
+        (symmetrize(raw), p),
+        (sym_tensor_product(f, g), p + q),
+        (project(f, TimeSet(grid, cells)), p),
+        (reverse_kernel(f), p),
+        (add_cell(f, a), p + 1),
+        (move_cell(f, a, b, 0.5), p),
+        (move_cell(f, a, a, 1.0), p),
+        (SymKernel.zero(grid, p), p),
+        (tensor_power(step, p), p),
+        (from_step(step), 1),
+        (constant_kernel(grid, p, c), p),
+    ]
+    outputs += [(restrict_below_count(f, k, t), p) for k in range(p + 1)]
+    outputs += [(contract(f, g, r), p + q - 2 * r) for r in range(1, min(p, q) + 1) if p + q > 2 * r]
+    if p > 1:
+        outputs.append((remove_cell(f, a), p - 1))
+    for out, order in outputs:
+        assert_well_formed(out, grid, order)

@@ -188,6 +188,20 @@ def test_validation_errors():
         SymKernel(Grid(128), 1, {})                  # cell cap
     with pytest.raises(ValueError):
         SymKernel(GRID4, 1, {(5,): 1.0})             # out of range
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SymKernel(GRID4, 1, {(1,): bad})         # non-finite value
+    for cells in ((1.5,), (True, 2), (1, 2.0), (np.bool_(True), 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            SymKernel(GRID4, len(cells), {cells: 2.0})
+    f = SymKernel(GRID4, 2, {(np.int64(1), np.int32(3)): 2.0})   # numpy integers are cells
+    assert f.value((1, 3)) == 2.0
+    with pytest.raises(ValueError, match="not an integer"):
+        RawTensor(GRID4, 2, {(2, 1.5): 1.0})
+    with pytest.raises(ValueError, match="non-finite"):
+        RawTensor(GRID4, 2, {(2, 1): math.nan})
+    with pytest.raises(ValueError):
+        RawTensor(Grid(128), 1, {})                  # cell cap
 
 
 def sorted_multiset(order):

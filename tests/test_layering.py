@@ -1,0 +1,25 @@
+"""Module boundaries of the package, checked on its source.
+
+``kernels.py`` owns the cell-multiset storage of ``SymKernel``: every
+other module reads kernels through ``items()``, ``value()``, ``len()`` and
+``cells()`` and builds them through the kernel maps or the public
+constructor, so none of them may touch the ``data`` attribute.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skorochaos"
+OWNER = "kernels.py"
+
+
+def data_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "data"]
+
+
+def test_only_kernels_reads_kernel_storage():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert OWNER in {p.name for p in modules}
+    offenders = [f"{p.name}:{line}" for p in modules if p.name != OWNER for line in data_reads(p)]
+    assert offenders == [], f"modules other than {OWNER} read .data: {offenders}"

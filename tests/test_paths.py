@@ -82,6 +82,8 @@ def test_sampler_zero_paths(grid8):
 def test_out_of_range_seed_rejected(grid8, seed):
     with pytest.raises(ValueError, match=re.escape(str(seed))):
         sample_paths(grid8, 4, seed)
+    with pytest.raises(ValueError, match=re.escape(str(seed))):
+        PathBatch(grid8, seed, np.zeros((2, 8)))
 
 
 def test_increment_moments(grid16):
