@@ -17,7 +17,6 @@ multiplication formula for multiple integrals.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Mapping, Sequence, TextIO
 
@@ -166,48 +165,140 @@ def hermite_functional(h: StepFunction, n: int) -> ChaosFunctional:
 # ---------------------------------------------------------------------------
 # evaluation on path batches
 
-def _compile(F: ChaosFunctional) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-    """Flatten a functional into (coefficient, ((multiplicity, cell), ...)) terms."""
-    prog = []
+def _terms(F: ChaosFunctional) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(multiset, coefficient) pairs in evaluation order: by order, then ``items()``."""
     for n, f in sorted(F.kernels.items()):
         base = math.factorial(n) * F.grid.delta ** (n / 2.0)
         for mu, v in f.items():
-            factors = tuple((len(tuple(g)), c) for c, g in itertools.groupby(mu))
-            prog.append((base * v, factors))
-    return prog
+            yield mu, base * v
+
+
+def _merge(order: list, pos: dict, keys: list) -> bool:
+    """Splice ``keys`` into ``order`` so that they form a subsequence of it.
+
+    A key that ``order`` lacks goes right after the key before it in
+    ``keys`` (at the front when there is none), so every sequence merged
+    before stays a subsequence too.  Returns False, changing nothing, when
+    the keys ``order`` already holds come in another order there.
+    """
+    anchor, spliced = -1, {}
+    for k in keys:
+        p = pos.get(k)
+        if p is None:
+            spliced.setdefault(anchor, []).append(k)
+        elif p < anchor:
+            return False
+        else:
+            anchor = p
+    if spliced:
+        merged = spliced.get(-1, [])
+        for i, k in enumerate(order):
+            merged.append(k)
+            merged.extend(spliced.get(i, ()))
+        order[:] = merged
+        pos.clear()
+        pos.update((k, i) for i, k in enumerate(order))
+    return True
+
+
+def _program(functionals: Sequence[ChaosFunctional], n_cells: int) -> list[tuple[tuple[int, ...], list]]:
+    """One step per distinct multiset of each group, in group order.
+
+    A step is (Hermite table rows of its factors, [(coef, r0, r1), ...]):
+    rows r0..r1-1 hold the multiset with that coefficient.
+    """
+    groups: list[tuple[list, dict, list[int]]] = []  # (order, position of each key, members)
+    for fi, F in enumerate(functionals):
+        keys = [mu for mu, _ in _terms(F)]
+        if not keys:
+            continue
+        for order, pos, members in groups:
+            if _merge(order, pos, keys):
+                members.append(fi)
+                break
+        else:
+            groups.append((keys, {k: i for i, k in enumerate(keys)}, [fi]))
+    program = []
+    for order, _, members in groups:
+        steps: dict[tuple, list] = {mu: [] for mu in order}
+        for fi in members:
+            for mu, coef in _terms(functionals[fi]):
+                adds = steps[mu]
+                for i, (c, r0, r1) in enumerate(adds):
+                    # 0.0 and -0.0 compare equal but scale a term to different zeros
+                    if r1 == fi and c == coef and math.copysign(1.0, c) == math.copysign(1.0, coef):
+                        adds[i] = (c, r0, fi + 1)
+                        break
+                else:
+                    adds.append((coef, fi, fi + 1))
+        program.extend((_factor_rows(mu, n_cells), adds) for mu, adds in steps.items())
+    return program
+
+
+def _factor_rows(mu: tuple[int, ...], n_cells: int) -> tuple[int, ...]:
+    """Rows of a (order, cell) Hermite table holding the factors He_m(z_c) of mu."""
+    rows: list[int] = []
+    prev = None
+    for c in mu:
+        if c == prev:
+            rows[-1] += n_cells
+        else:
+            rows.append(n_cells + c - 1)
+            prev = c
+    return tuple(rows)
 
 
 def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch, workers: int = 1) -> np.ndarray:
     """Evaluate several functionals pathwise; returns (len(functionals), count).
 
-    Hermite tables are shared across functionals and built per path block,
-    so memory stays flat in the path count.  Results are bit-identical for
-    every worker count: each block writes a disjoint output slice.
+    Each row gets exactly the float operations of evaluating its functional
+    alone: start from the mean, then ``row += coef * term`` over the terms
+    in order (kernels by order, then ``items()``), each term the product of
+    its Hermite factors taken left to right.
+
+    The call compiles one program.  Each functional's multisets are merged
+    into the order of the first group whose known multisets it meets in the
+    same order (its new ones go right after its previous one); a functional
+    that fits no group starts a new one.  So each functional's term order
+    is a subsequence of its group order, and walking the group order once
+    per path block visits every row's terms in that row's own order.  Each
+    product is built once per block from a Hermite table laid out as
+    (order, cell, path), so factors are contiguous rows; ``coef * term`` is
+    formed once per run of consecutive rows that share the coefficient and
+    added only into the rows that hold the multiset.  Memory stays flat in
+    the path count: one Hermite table, one term and one scaled term per
+    block.  ``workers`` changes nothing (see ``map_path_chunks``).
     """
     for F in functionals:
         if F.grid != batch.grid:
             raise ValueError("functional and batch live on different grids")
     count = batch.count
     out = np.empty((len(functionals), count), dtype=np.float64)
-    if not functionals:
+    out[:] = np.array([F.mean for F in functionals], dtype=np.float64)[:, None]
+    n_cells = batch.grid.n_cells
+    program = _program(functionals, n_cells)
+    if not program:
         return out
-    progs = [_compile(F) for F in functionals]
-    m_max = max((m for prog in progs for _, fs in prog for m, _ in fs), default=0)
+    m_max = max(r // n_cells for factors, _ in program for r in factors)
     sqrt_d = math.sqrt(batch.grid.delta)
 
     def run(lo: int, hi: int) -> None:
         for b0 in range(lo, hi, _EVAL_BLOCK):
             b1 = min(b0 + _EVAL_BLOCK, hi)
-            z = batch.increments[b0:b1] / sqrt_d
-            htab = hermite_values(m_max, z)
-            for fi, F in enumerate(functionals):
-                acc = np.full(b1 - b0, F.mean)
-                for coef, factors in progs[fi]:
-                    term = htab[factors[0][0]][:, factors[0][1] - 1].copy()
-                    for m, c in factors[1:]:
-                        term *= htab[m][:, c - 1]
-                    acc += coef * term
-                out[fi, b0:b1] = acc
+            z = np.empty((n_cells, b1 - b0))
+            np.divide(batch.increments[b0:b1].T, sqrt_d, out=z)
+            table = hermite_values(m_max, z).reshape(-1, b1 - b0)
+            block = out[:, b0:b1]
+            term, scaled = np.empty(b1 - b0), np.empty(b1 - b0)
+            for factors, adds in program:
+                t = table[factors[0]]
+                if len(factors) > 1:
+                    t = np.multiply(t, table[factors[1]], out=term)
+                    for r in factors[2:]:
+                        t *= table[r]
+                for coef, r0, r1 in adds:
+                    np.multiply(t, coef, out=scaled)
+                    block[r0:r1] += scaled
 
     map_path_chunks(run, count, workers)
     return out

@@ -87,7 +87,7 @@ FIELDS: dict[str, Field] = {
     "depth": Field(int, "finest dyadic partition depth", lambda v: v >= 0, "must be nonnegative"),
     # the worker count never changes output bytes, so the CSV does not echo it
     "workers": Field(
-        int, "evaluation threads (never changes output bytes)", lambda v: v >= 1, "must be at least 1", echo=False
+        int, "accepted for compatibility; evaluation runs serially", lambda v: v >= 1, "must be at least 1", echo=False
     ),
     "M": Field(int, "dimension of the sampled cube", lambda v: 1 <= v <= 6, "out of range 1..6"),
     "samples": Field(int, "number of generic sample points", lambda v: v >= 1, "must be at least 1"),

@@ -148,3 +148,13 @@ def test_batch_round_trip(grid8, batch8):
 def test_batch_shape_validated(grid8):
     with pytest.raises(ValueError):
         PathBatch(grid8, 0, np.zeros((10, 7)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_function_values_validated(grid8, bad):
+    with pytest.raises(ValueError, match="need 8 cell values"):
+        StepFunction(grid8, np.zeros(7))
+    values = np.ones(8)
+    values[3] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not finite")):
+        StepFunction(grid8, values)
