@@ -24,8 +24,8 @@ import numpy as np
 
 from .grid import Grid, TimeSet
 from .kernels import (
-    MAX_ORDER, SymKernel, contract, from_step, kernel_to_text, next_line, parse_finite, parse_header, project,
-    read_kernel_block, read_text, remove_cell, tensor_power,
+    MAX_ORDER, SymKernel, contract, disjoint_tensor_product, from_step, kernel_to_text, next_line, parse_finite,
+    parse_header, project, read_kernel_block, read_text, remove_cell, tensor_power,
 )
 from .paths import PathBatch, StepFunction, map_path_chunks
 
@@ -341,6 +341,15 @@ def multiply(F: ChaosFunctional, G: ChaosFunctional) -> ChaosFunctional:
 
     I_p(f) I_q(g) = sum_r r! C(p,r) C(q,r) I_{p+q-2r}(sym(f (x)_r g)).
     Raises when a term would exceed the supported order.
+
+    When F and G touch disjoint cells, as the forward and backward factors
+    of a two-sided summand do, every contraction with r >= 1 is empty and
+    the r = 0 term is ``disjoint_tensor_product``.  No contraction is then
+    computed, but the two side effects of adding an empty one are repeated,
+    so the result keeps its bits and its key order: an empty full
+    contraction adds 0.0 to the mean, turning a mean of -0.0 into 0.0, and
+    any other empty contraction files a zero kernel under its order when
+    none is there yet, which fixes where that order sits in ``kernels``.
     """
     F._check(G)
     grid = F.grid
@@ -356,15 +365,24 @@ def multiply(F: ChaosFunctional, G: ChaosFunctional) -> ChaosFunctional:
     for n, g in G.kernels.items():
         if F.mean != 0.0:
             put(n, g.scaled(F.mean))
+    disjoint = F.cells().isdisjoint(G.cells())
     for p, f in F.kernels.items():
         for q, g in G.kernels.items():
             for r in range(min(p, q) + 1):
                 n = p + q - 2 * r
-                coef = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-                if n == 0:
-                    mean += coef * f.inner(g)
+                if disjoint and r == 0:
+                    put(n, disjoint_tensor_product(f, g))
+                elif disjoint:
+                    if n == 0:
+                        mean += 0.0
+                    elif n not in acc:
+                        acc[n] = SymKernel.zero(grid, n)
                 else:
-                    put(n, contract(f, g, r).scaled(coef))
+                    coef = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+                    if n == 0:
+                        mean += coef * f.inner(g)
+                    else:
+                        put(n, contract(f, g, r).scaled(coef))
     return ChaosFunctional(grid, mean, acc)
 
 

@@ -344,13 +344,12 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
             F = ChaosFunctional(grid, 0.0, {k: tensor_power(one, k)})
             rep = BackwardRepresentation(F)
             Fh = reverse_functional(F)
+            fh = eval_functional(Fh, rev)
             worst = 0.0
             for bb in (0, b, grid.n_cells):
                 lhs = eval_functional(rep.reversed_value_at(bb), rev)
                 tail = TimeSet.from_interval(grid, 0.0, grid.boundary_value(grid.n_cells - bb))
-                rhs = eval_functional(Fh, rev) - eval_functional(
-                    conditional_expectation(Fh, tail), rev
-                )
+                rhs = fh - eval_functional(conditional_expectation(Fh, tail), rev)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             res.rows.append((cfg.N, cfg.t, f"two_sided_projection_residual_n{k}", worst, 0.0))
             if worst > _PATHWISE:

@@ -18,7 +18,12 @@ This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
 Multisets are checked once, where they enter: the public ``SymKernel``
 constructor (which the text reader uses) and ``RawTensor``.  The maps
-build their results through a private constructor that only drops zeros.
+build their results through a private constructor, ``SymKernel._built``,
+that only drops zeros.  It takes over the dict it is handed, so every map
+hands it a fresh dict of Python floats that nothing else holds and that
+the map never touches again: a value that is not a ``float``, such as a
+``np.float64`` from a step function, is converted where it is made, since
+it would print differently in a CSV.
 
 Desk-scale caps: kernels accept at most MAX_CELLS cells and order at most
 MAX_ORDER.  Dense constructors additionally refuse to enumerate more than
@@ -43,6 +48,7 @@ __all__ = [
     "RawTensor",
     "symmetrize",
     "sym_tensor_product",
+    "disjoint_tensor_product",
     "contract",
     "project",
     "restrict_below_count",
@@ -62,6 +68,8 @@ __all__ = [
 MAX_ORDER = 5
 MAX_CELLS = 64
 _DENSE_LIMIT = 2_000_000
+
+_FACTORIALS = tuple(math.factorial(n) for n in range(MAX_ORDER + 1))
 
 T = TypeVar("T")
 
@@ -83,6 +91,8 @@ def _multiplicities(mu: tuple[int, ...]) -> list[int]:
 
 def orderings(mu: tuple[int, ...]) -> int:
     """Number of distinct orderings of the multiset: n! / prod m_j!."""
+    if len(set(mu)) == len(mu):
+        return _FACTORIALS[len(mu)]
     total = math.factorial(len(mu))
     for m in _multiplicities(mu):
         total //= math.factorial(m)
@@ -159,12 +169,19 @@ class SymKernel:
         self.data = _checked_entries(grid, order, values, "multiset", need_sorted=True)
 
     @classmethod
-    def _built(cls, grid: Grid, order: int, values: Mapping[tuple[int, ...], float]) -> "SymKernel":
-        """A kernel on multisets this module built itself: zeros dropped, nothing checked."""
+    def _built(cls, grid: Grid, order: int, values: dict[tuple[int, ...], float]) -> "SymKernel":
+        """A kernel on multisets this module built itself: zeros dropped, nothing checked.
+
+        The kernel takes ``values`` over.  It must be a fresh dict of Python
+        floats that no other kernel holds and that the caller never touches
+        again.  Only when it holds a zero is a filtered copy stored instead.
+        """
+        if 0.0 in values.values():
+            values = {mu: v for mu, v in values.items() if v != 0.0}
         f = object.__new__(cls)
         f.grid = grid
         f.order = order
-        f.data = {mu: float(v) for mu, v in values.items() if v != 0.0}
+        f.data = values
         return f
 
     @classmethod
@@ -200,6 +217,7 @@ class SymKernel:
         return sum(v * big.get(mu, 0.0) * orderings(mu) for mu, v in small.items()) * d
 
     def scaled(self, c: float) -> "SymKernel":
+        c = float(c)
         return SymKernel._built(self.grid, self.order, {mu: v * c for mu, v in self.data.items()})
 
     def add(self, other: "SymKernel") -> "SymKernel":
@@ -269,6 +287,24 @@ def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
             acc[rho] = acc.get(rho, 0.0) + a * b * _split_weight(rho, mu)
     scale = 1.0 / math.comb(n, f.order)
     return SymKernel._built(f.grid, n, {rho: v * scale for rho, v in acc.items()})
+
+
+def disjoint_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
+    """``sym_tensor_product`` of kernels that share no cell, to the bit.
+
+    Each multiset rho = mu + nu then splits one way only, with weight 1, so
+    its value is f(mu) * g(nu) * C(p+q, p)^{-1}, in the order of the nested
+    loop over f and g.  The caller guarantees that the supports are disjoint.
+    """
+    if f.grid != g.grid:
+        raise ValueError("kernels live on different grids")
+    n = f.order + g.order
+    if n > MAX_ORDER:
+        raise ValueError(f"product order {n} exceeds the cap {MAX_ORDER}")
+    scale = 1.0 / math.comb(n, f.order)
+    return SymKernel._built(
+        f.grid, n, {_merge(mu, nu): a * b * scale for mu, a in f.data.items() for nu, b in g.data.items()}
+    )
 
 
 def _sub_multisets(counts: dict[int, int], size: int) -> Iterator[tuple[int, ...]]:
@@ -372,6 +408,7 @@ def add_cell(f: SymKernel, c: int) -> SymKernel:
 
 def move_cell(f: SymKernel, a: int, c: int, weight: float) -> SymKernel:
     """rho -> f(rho - c + a) * weight * m_c(rho): one copy of cell a moves to cell c."""
+    weight = float(weight)
     out: dict[tuple[int, ...], float] = {}
     for mu, v in f.data.items():
         if a in mu:
@@ -407,25 +444,27 @@ def tensor_power(h: StepFunction, order: int) -> SymKernel:
     """h^{(x) order}: value at a multiset is the product of cell values."""
     _check_shape(h.grid, order)
     _dense_guard(h.grid, order)
-    support = [k for k in h.grid.cells() if h.values[k - 1] != 0.0]
+    values = h.values.tolist()
+    support = [k for k in h.grid.cells() if values[k - 1] != 0.0]
     out: dict[tuple[int, ...], float] = {}
     for mu in itertools.combinations_with_replacement(support, order):
         v = 1.0
         for c in mu:
-            v *= h.values[c - 1]
+            v *= values[c - 1]
         out[mu] = v
     return SymKernel._built(h.grid, order, out)
 
 
 def from_step(h: StepFunction) -> SymKernel:
     _check_shape(h.grid, 1)
-    return SymKernel._built(h.grid, 1, {(k,): h.values[k - 1] for k in h.grid.cells()})
+    return SymKernel._built(h.grid, 1, {(k,): v for k, v in enumerate(h.values.tolist(), 1)})
 
 
 def constant_kernel(grid: Grid, order: int, value: float) -> SymKernel:
     _check_shape(grid, order)
     _dense_guard(grid, order)
     cells = list(grid.cells())
+    value = float(value)
     return SymKernel._built(grid, order, {mu: value for mu in itertools.combinations_with_replacement(cells, order)})
 
 

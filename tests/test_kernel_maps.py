@@ -7,11 +7,13 @@ every result through the public ``SymKernel`` constructor, which checks
 each multiset; the library must agree with them exactly.
 
 The maps build their results through a private constructor that does not
-re-check the multisets, so the invariant test below checks every output
-itself: sorted multisets of the stated order, integer cells in range,
-float values and no stored zeros.
+re-check the multisets and takes over the dict it is handed, so the
+invariant test below checks every output itself: sorted multisets of the
+stated order, integer cells in range, Python float values even from int
+or ``np.float64`` arguments, no stored zeros, and a dict of its own.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,8 +221,8 @@ def map_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(inputs=map_inputs(), c=VALUES, data=st.data())
-def test_every_map_output_is_well_formed(inputs, c, data):
+@given(inputs=map_inputs(), c=VALUES, c_int=st.integers(-1000, 1000), data=st.data())
+def test_every_map_output_is_well_formed(inputs, c, c_int, data):
     grid, f, g, a, b = inputs
     p, q = f.order, g.order
     h = data.draw(kernels(grid, p))
@@ -230,6 +232,8 @@ def test_every_map_output_is_well_formed(inputs, c, data):
     raw = RawTensor(grid, p, {mu[::-1]: v for mu, v in f.items()})
     outputs = [
         (f.scaled(c), p),
+        (f.scaled(c_int), p),
+        (f.scaled(np.float64(c)), p),
         (f.add(h), p),
         (f.sub(h), p),
         (f.add(f.scaled(-1.0)), p),
@@ -240,10 +244,14 @@ def test_every_map_output_is_well_formed(inputs, c, data):
         (add_cell(f, a), p + 1),
         (move_cell(f, a, b, 0.5), p),
         (move_cell(f, a, a, 1.0), p),
+        (move_cell(f, a, b, 2), p),
+        (move_cell(f, a, b, np.float64(c)), p),
         (SymKernel.zero(grid, p), p),
         (tensor_power(step, p), p),
         (from_step(step), 1),
         (constant_kernel(grid, p, c), p),
+        (constant_kernel(grid, p, c_int), p),
+        (constant_kernel(grid, p, np.float64(c)), p),
     ]
     outputs += [(restrict_below_count(f, k, t), p) for k in range(p + 1)]
     outputs += [(contract(f, g, r), p + q - 2 * r) for r in range(1, min(p, q) + 1) if p + q > 2 * r]
@@ -251,3 +259,6 @@ def test_every_map_output_is_well_formed(inputs, c, data):
         outputs.append((remove_cell(f, a), p - 1))
     for out, order in outputs:
         assert_well_formed(out, grid, order)
+        assert all(out.data is not x.data for x in (f, g, h))
+    assert list(f.scaled(np.float64(c)).items()) == list(f.scaled(c).items())
+    assert list(move_cell(f, a, b, np.float64(c)).items()) == list(move_cell(f, a, b, c).items())

@@ -84,6 +84,12 @@ def test_orderings_counts():
     assert orderings((1, 1, 3)) == 3
     assert orderings((2, 2, 2)) == 1
     assert orderings((1, 1, 2, 2)) == 6
+    for n in range(1, MAX_ORDER + 1):
+        for mu in itertools.combinations_with_replacement(range(1, 7), n):
+            want = math.factorial(n)
+            for c in set(mu):
+                want //= math.factorial(mu.count(c))
+            assert orderings(mu) == want, mu
 
 
 def test_norm_against_enumeration():
