@@ -27,14 +27,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", help="directory for the CSV tables")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bad = 0
     for name, kw in PINNED.items():
-        cfg = ExperimentConfig(experiment=name, seed=args.seed, workers=args.workers, **kw)
+        cfg = ExperimentConfig(experiment=name, seed=args.seed, **kw)
         t0 = time.perf_counter()
         res = run_experiment(cfg)
         elapsed = time.perf_counter() - t0

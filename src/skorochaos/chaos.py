@@ -18,16 +18,13 @@ multiplication formula for multiple integrals.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .grid import Grid, TimeSet
-from .kernels import (
-    MAX_ORDER, SymKernel, contract, disjoint_tensor_product, from_step, kernel_to_text, next_line, parse_finite,
-    parse_header, project, read_kernel_block, read_text, remove_cell, tensor_power,
-)
-from .paths import PathBatch, StepFunction, map_path_chunks
+from .kernels import SymKernel, contract, disjoint_tensor_product, from_step, project, remove_cell, tensor_power
+from .paths import PathBatch, StepFunction
 
 __all__ = [
     "hermite_values",
@@ -40,8 +37,6 @@ __all__ = [
     "malliavin_derivative",
     "conditional_expectation",
     "multiply",
-    "functional_to_text",
-    "functional_from_text",
 ]
 
 _EVAL_BLOCK = 8192
@@ -248,7 +243,7 @@ def _factor_rows(mu: tuple[int, ...], n_cells: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch, workers: int = 1) -> np.ndarray:
+def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.ndarray:
     """Evaluate several functionals pathwise; returns (len(functionals), count).
 
     Each row gets exactly the float operations of evaluating its functional
@@ -267,7 +262,7 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch, workers:
     formed once per run of consecutive rows that share the coefficient and
     added only into the rows that hold the multiset.  Memory stays flat in
     the path count: one Hermite table, one term and one scaled term per
-    block.  ``workers`` changes nothing (see ``map_path_chunks``).
+    block.
     """
     for F in functionals:
         if F.grid != batch.grid:
@@ -282,30 +277,27 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch, workers:
     m_max = max(r // n_cells for factors, _ in program for r in factors)
     sqrt_d = math.sqrt(batch.grid.delta)
 
-    def run(lo: int, hi: int) -> None:
-        for b0 in range(lo, hi, _EVAL_BLOCK):
-            b1 = min(b0 + _EVAL_BLOCK, hi)
-            z = np.empty((n_cells, b1 - b0))
-            np.divide(batch.increments[b0:b1].T, sqrt_d, out=z)
-            table = hermite_values(m_max, z).reshape(-1, b1 - b0)
-            block = out[:, b0:b1]
-            term, scaled = np.empty(b1 - b0), np.empty(b1 - b0)
-            for factors, adds in program:
-                t = table[factors[0]]
-                if len(factors) > 1:
-                    t = np.multiply(t, table[factors[1]], out=term)
-                    for r in factors[2:]:
-                        t *= table[r]
-                for coef, r0, r1 in adds:
-                    np.multiply(t, coef, out=scaled)
-                    block[r0:r1] += scaled
-
-    map_path_chunks(run, count, workers)
+    for b0 in range(0, count, _EVAL_BLOCK):
+        b1 = min(b0 + _EVAL_BLOCK, count)
+        z = np.empty((n_cells, b1 - b0))
+        np.divide(batch.increments[b0:b1].T, sqrt_d, out=z)
+        table = hermite_values(m_max, z).reshape(-1, b1 - b0)
+        block = out[:, b0:b1]
+        term, scaled = np.empty(b1 - b0), np.empty(b1 - b0)
+        for factors, adds in program:
+            t = table[factors[0]]
+            if len(factors) > 1:
+                t = np.multiply(t, table[factors[1]], out=term)
+                for r in factors[2:]:
+                    t *= table[r]
+            for coef, r0, r1 in adds:
+                np.multiply(t, coef, out=scaled)
+                block[r0:r1] += scaled
     return out
 
 
-def eval_functional(F: ChaosFunctional, batch: PathBatch, workers: int = 1) -> np.ndarray:
-    return eval_many([F], batch, workers)[0]
+def eval_functional(F: ChaosFunctional, batch: PathBatch) -> np.ndarray:
+    return eval_many([F], batch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +377,3 @@ def multiply(F: ChaosFunctional, G: ChaosFunctional) -> ChaosFunctional:
                         put(n, contract(f, g, r).scaled(coef))
     return ChaosFunctional(grid, mean, acc)
 
-
-# ---------------------------------------------------------------------------
-# text round trip
-
-def functional_to_text(F: ChaosFunctional, fp: TextIO) -> None:
-    fp.write(f"functional cells {F.grid.n_cells} mean {F.mean!r} kernels {len(F.kernels)}\n")
-    for n in sorted(F.kernels):
-        kernel_to_text(F.kernels[n], fp)
-        fp.write("\n")
-
-
-def functional_from_lines(lines: Iterator[str], header: str) -> ChaosFunctional:
-    """Parse one functional given its already-consumed header line."""
-    cells, mean, count = parse_header(header, "functional cells _ mean _ kernels _")
-    grid = Grid(int(cells))
-    n_kernels = int(count)
-    if not 0 <= n_kernels <= MAX_ORDER:
-        raise ValueError(f"kernel count {n_kernels} outside 0..{MAX_ORDER}")
-    ks: dict[int, SymKernel] = {}
-    for _ in range(n_kernels):
-        k = read_kernel_block(lines, next_line(lines, "kernel header"))
-        if k.order in ks:
-            raise ValueError(f"kernel order {k.order} given twice")
-        ks[k.order] = k
-    return ChaosFunctional(grid, parse_finite(mean), ks)
-
-
-def functional_from_text(fp: TextIO) -> ChaosFunctional:
-    return read_text(fp, "functional", functional_from_lines)

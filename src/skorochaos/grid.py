@@ -33,7 +33,6 @@ __all__ = [
     "GenericityError",
     "RegionReport",
     "all_selections",
-    "in_selection_region",
     "in_selection_region_at",
     "exact_below_count",
     "verify_region_partition",
@@ -140,10 +139,6 @@ class Partition:
             raise ValueError(f"partition {b} has degenerate or unordered intervals")
 
     @classmethod
-    def from_times(cls, grid: Grid, times: Sequence[float]) -> "Partition":
-        return cls(grid, tuple(grid.boundary_index(t) for t in times))
-
-    @classmethod
     def dyadic(cls, grid: Grid, depth: int) -> "Partition":
         n = grid.n_cells
         step = n >> depth
@@ -163,9 +158,6 @@ class Partition:
     def intervals(self) -> Iterator[tuple[int, int]]:
         b = self.bounds
         return ((b[i], b[i + 1]) for i in range(len(b) - 1))
-
-    def mesh(self) -> float:
-        return max(r - l for l, r in self.intervals()) * self.grid.delta
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +199,6 @@ def _check_point(x: Sequence[float], total: int) -> None:
         raise ValueError(f"point has {len(x)} coordinates, expected {total}")
     if any(not 0.0 < v < 1.0 for v in x):
         raise ValueError(f"point {tuple(x)} not interior to (0,1)^{total}")
-
-
-def in_selection_region(sel: Selection, x: Sequence[float]) -> bool:
-    """True when every selected coordinate is strictly below every other.
-
-    Empty groups use max() = 0 and min() = 1, so the empty and the full
-    selection both accept the whole cube.
-    """
-    _check_point(x, sel.total)
-    chosen, rest = sel.split(x)
-    return max(chosen, default=0.0) < min(rest, default=1.0)
 
 
 def in_selection_region_at(sel: Selection, t: float, x: Sequence[float]) -> bool:

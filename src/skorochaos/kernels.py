@@ -17,9 +17,8 @@ the Malliavin derivative and the Skorohod integral.
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
 Multisets are checked once, where they enter: the public ``SymKernel``
-constructor (which the text reader uses) and ``RawTensor``.  The maps
-build their results through a private constructor, ``SymKernel._built``,
-that only drops zeros.  It takes over the dict it is handed, so every map
+constructor and ``RawTensor``.  The maps build their results through a
+private constructor, ``SymKernel._built``, that only drops zeros.  It takes over the dict it is handed, so every map
 hands it a fresh dict of Python floats that nothing else holds and that
 the map never touches again: a value that is not a ``float``, such as a
 ``np.float64`` from a step function, is converted where it is made, since
@@ -36,7 +35,7 @@ import itertools
 import math
 from bisect import bisect_right
 from numbers import Integral
-from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
+from typing import Iterable, Iterator, Mapping
 
 from .grid import Grid, TimeSet
 from .paths import StepFunction
@@ -60,9 +59,6 @@ __all__ = [
     "tensor_power",
     "from_step",
     "constant_kernel",
-    "kernel_to_text",
-    "kernel_from_text",
-    "read_kernel_block",
 ]
 
 MAX_ORDER = 5
@@ -70,8 +66,6 @@ MAX_CELLS = 64
 _DENSE_LIMIT = 2_000_000
 
 _FACTORIALS = tuple(math.factorial(n) for n in range(MAX_ORDER + 1))
-
-T = TypeVar("T")
 
 
 def _multiplicities(mu: tuple[int, ...]) -> list[int]:
@@ -467,70 +461,3 @@ def constant_kernel(grid: Grid, order: int, value: float) -> SymKernel:
     value = float(value)
     return SymKernel._built(grid, order, {mu: value for mu in itertools.combinations_with_replacement(cells, order)})
 
-
-# ---------------------------------------------------------------------------
-# text round trip: header "order n cells N", then "c_1,...,c_n=value" lines;
-# the kernel, functional and process readers share the helpers below.
-
-def next_line(lines: Iterator[str], what: str) -> str:
-    """The next non-blank line, stripped; ``what`` names it in the error."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            return line
-    raise ValueError(f"text ended before the {what}")
-
-
-def parse_header(line: str, form: str) -> list[str]:
-    """The values of a header laid out as ``form``, where ``_`` marks a value.
-
-    parse_header("order 2 cells 8", "order _ cells _") == ["2", "8"]
-    """
-    parts, words = line.split(), form.split()
-    if len(parts) != len(words) or any(w not in ("_", p) for w, p in zip(words, parts)):
-        raise ValueError(f"bad header {line!r}: expected {form!r}")
-    return [p for w, p in zip(words, parts) if w == "_"]
-
-
-def parse_finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def read_text(fp: TextIO, what: str, read_block: Callable[[Iterator[str], str], T]) -> T:
-    """Read one header-led block from the whole of ``fp``; nothing may follow it."""
-    lines = iter(fp.read().splitlines())
-    block = read_block(lines, next_line(lines, f"{what} header"))
-    for line in lines:
-        if line.strip():
-            raise ValueError(f"unexpected text after the {what}: {line.strip()!r}")
-    return block
-
-
-def kernel_to_text(f: SymKernel, fp: TextIO) -> None:
-    fp.write(f"order {f.order} cells {f.grid.n_cells}\n")
-    for mu in sorted(f.data):
-        fp.write(",".join(str(c) for c in mu) + "=" + repr(f.data[mu]) + "\n")
-
-
-def read_kernel_block(lines: Iterator[str], header: str) -> SymKernel:
-    """Parse one kernel block given its already-consumed header line."""
-    order, n_cells = (int(v) for v in parse_header(header, "order _ cells _"))
-    grid = Grid(n_cells)
-    values: dict[tuple[int, ...], float] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            break
-        mu_text, _, v_text = line.partition("=")
-        mu = tuple(int(c) for c in mu_text.split(","))
-        if mu in values:
-            raise ValueError(f"multiset {mu} given twice")
-        values[mu] = parse_finite(v_text)
-    return SymKernel(grid, order, values)
-
-
-def kernel_from_text(fp: TextIO) -> SymKernel:
-    return read_text(fp, "kernel", read_kernel_block)

@@ -3,8 +3,8 @@
 A path is the vector of cell increments of a Brownian motion on the grid;
 a batch holds ``count`` paths as a (count, n_cells) float64 array.  Every
 path is drawn from its own counter-based substream keyed by (seed, path
-index), so path i has the same increments no matter the batch size,
-evaluation order, or worker count.
+index), so path i has the same increments no matter the batch size or
+evaluation order.
 
 The substream is Philox4x64-10 (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11), with 64-bit words and arithmetic mod 2**64:
@@ -35,9 +35,7 @@ X(f) = sum_k f_k dX_k has covariance equal to the L^2 inner product.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -50,13 +48,8 @@ __all__ = [
     "sample_paths",
     "isonormal_eval",
     "reverse_batch",
-    "write_batch",
-    "read_batch",
-    "map_path_chunks",
 ]
 
-_MAGIC = 0x534B504231303030  # "SKPB1000"
-_FORMAT_VERSION = 1
 _U64 = (1 << 64) - 1
 
 
@@ -195,18 +188,8 @@ def _philox_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(hi - lo, 4 * n_blocks)[:, :n]
 
 
-def map_path_chunks(fn: Callable[[int, int], None], count: int, workers: int) -> None:
-    """Run fn(0, count): every path in one serial call, whatever ``workers`` is.
-
-    Threads over path chunks bought no time at two workers and cost time
-    at four, and serial chunks cost the extra partial blocks, so the
-    worker count is accepted and changes nothing, output bytes included.
-    """
-    fn(0, count)
-
-
-def sample_paths(grid: Grid, count: int, seed: int, workers: int = 1) -> PathBatch:
-    """Draw ``count`` paths; bit-identical for any worker count."""
+def sample_paths(grid: Grid, count: int, seed: int) -> PathBatch:
+    """Draw ``count`` paths; path i is the same for any ``count`` above i."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not 0 <= seed <= _U64:
@@ -214,15 +197,11 @@ def sample_paths(grid: Grid, count: int, seed: int, workers: int = 1) -> PathBat
     n = grid.n_cells
     scale = np.sqrt(grid.delta)
     increments = np.empty((count, n))
-
-    def fill(lo: int, hi: int) -> None:
-        for a in range(lo, hi, _BLOCK_PATHS):
-            b = min(a + _BLOCK_PATHS, hi)
-            bits = _philox_words(seed, a, b, n) >> np.uint64(11)
-            uniforms = (bits + 0.5) * 2.0**-53
-            increments[a:b] = ndtri(uniforms) * scale
-
-    map_path_chunks(fill, count, workers)
+    for a in range(0, count, _BLOCK_PATHS):
+        b = min(a + _BLOCK_PATHS, count)
+        bits = _philox_words(seed, a, b, n) >> np.uint64(11)
+        uniforms = (bits + 0.5) * 2.0**-53
+        increments[a:b] = ndtri(uniforms) * scale
     return PathBatch(grid, seed, increments)
 
 
@@ -241,30 +220,3 @@ def reverse_batch(batch: PathBatch) -> PathBatch:
     """
     return PathBatch(batch.grid, batch.seed, batch.increments[:, ::-1])
 
-
-# ---------------------------------------------------------------------------
-# binary dump: 5 little-endian u64 header fields, then row-major float64
-
-def write_batch(fp: BinaryIO, batch: PathBatch) -> None:
-    header = struct.pack(
-        "<5Q", _MAGIC, _FORMAT_VERSION, batch.grid.n_cells, batch.count, batch.seed
-    )
-    fp.write(header)
-    data = np.ascontiguousarray(batch.increments, dtype="<f8")
-    fp.write(data.tobytes(order="C"))
-
-
-def read_batch(fp: BinaryIO) -> PathBatch:
-    header = fp.read(40)
-    if len(header) != 40:
-        raise ValueError("truncated batch header")
-    magic, version, n_cells, count, seed = struct.unpack("<5Q", header)
-    if magic != _MAGIC:
-        raise ValueError(f"bad magic {magic:#x}")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported batch format version {version}")
-    body = fp.read(8 * n_cells * count)
-    if len(body) != 8 * n_cells * count:
-        raise ValueError("truncated batch body")
-    inc = np.frombuffer(body, dtype="<f8").reshape(count, n_cells).astype(float)
-    return PathBatch(Grid(int(n_cells)), int(seed), inc)

@@ -94,16 +94,8 @@ class BackwardRepresentation:
     def reversed_value_at(self, b: int) -> ChaosFunctional:
         return reverse_functional(self.value_at(b))
 
-    def eval_curve(self, batch: PathBatch, workers: int = 1) -> np.ndarray:
-        """Pathwise values at every boundary, shape (count, n_cells + 1)."""
-        grid = self.F.grid
-        fs = [self.value_at(b) for b in range(grid.n_cells + 1)]
-        return eval_many(fs, batch, workers).T
 
-
-def backward_ito_eval(
-    phi: ChaosProcess, batch: PathBatch, t: float, workers: int = 1
-) -> np.ndarray:
+def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, t: float) -> np.ndarray:
     """Discrete predictable sum over reversed cells in (1 - t, 1].
 
     phi must be written in reversed coordinates and adapted: the value at
@@ -119,7 +111,7 @@ def backward_ito_eval(
     window = list(range(start + 1, n + 1))
     if not window:
         return np.zeros(batch.count)
-    vals = eval_many([phi.at_cell(j) for j in window], rev, workers)
+    vals = eval_many([phi.at_cell(j) for j in window], rev)
     out = np.zeros(batch.count)
     for row, j in enumerate(window):
         out += vals[row] * rev.increments[:, j - 1]

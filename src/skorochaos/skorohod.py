@@ -26,22 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
-from .chaos import (
-    ChaosFunctional,
-    conditional_expectation,
-    eval_many,
-    functional_from_lines,
-    functional_to_text,
-    multiply,
-)
+from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
 from .grid import Grid, Partition, TimeSet
-from .kernels import (
-    SymKernel, add_cell, move_cell, next_line, parse_header, read_text, restrict_below_count, stored_multisets,
-)
+from .kernels import SymKernel, add_cell, move_cell, restrict_below_count, stored_multisets
 from .paths import PathBatch
 
 __all__ = [
@@ -64,8 +55,6 @@ __all__ = [
     "extract_region_kernels",
     "resynthesize",
     "region_energy_bound",
-    "process_to_text",
-    "process_from_text",
 ]
 
 
@@ -207,9 +196,9 @@ class SkorohodProcess:
         pieces = [a.sub(b) for a, b in zip(self.functionals, other.functionals)]
         return SkorohodProcess(self.grid, pieces, f"{self.provenance}-minus-{other.provenance}")
 
-    def eval_batch(self, batch: PathBatch, workers: int = 1) -> np.ndarray:
+    def eval_batch(self, batch: PathBatch) -> np.ndarray:
         """Pathwise values at every boundary, shape (count, n_cells + 1)."""
-        return eval_many(self.functionals, batch, workers).T
+        return eval_many(self.functionals, batch).T
 
     def increment_second_moment(self, s: float, t: float) -> float:
         diff = self.at_time(t).sub(self.at_time(s))
@@ -313,7 +302,7 @@ def step_approximation(v: ChaosProcess, partition: Partition) -> StepProcess:
     return StepProcess(grid, partition, tuple(values))
 
 
-def synthesis_eval(step: StepProcess, batch: PathBatch, t: float, workers: int = 1) -> np.ndarray:
+def synthesis_eval(step: StepProcess, batch: PathBatch, t: float) -> np.ndarray:
     """Pathwise integral of the step process over (0, t] as a product sum.
 
     Because each value has no kernel support in its own interval, the
@@ -322,7 +311,7 @@ def synthesis_eval(step: StepProcess, batch: PathBatch, t: float, workers: int =
     """
     grid = step.grid
     b = grid.boundary_index(t)
-    vals = eval_many(step.values, batch, workers)
+    vals = eval_many(step.values, batch)
     bounds = batch.boundary_values()
     out = np.zeros(batch.count)
     for (lo, hi), fv in zip(step.partition.intervals(), vals):
@@ -517,29 +506,3 @@ def region_energy_bound(kernels: dict[tuple[int, int], SymKernel]) -> float:
             prev = cur
     return total
 
-
-# ---------------------------------------------------------------------------
-# text round trip for integral processes
-
-def process_to_text(Y: SkorohodProcess, fp: TextIO) -> None:
-    # the header is split on whitespace, so the provenance must be one nonempty word
-    if Y.provenance.split() != [Y.provenance]:
-        raise ValueError(f"provenance {Y.provenance!r} must be one word without whitespace")
-    fp.write(f"skorohod cells {Y.grid.n_cells} provenance {Y.provenance}\n")
-    for i, F in enumerate(Y.functionals):
-        fp.write(f"boundary {i}\n")
-        functional_to_text(F, fp)
-
-
-def _process_from_lines(lines: Iterator[str], header: str) -> SkorohodProcess:
-    cells, provenance = parse_header(header, "skorohod cells _ provenance _")
-    grid = Grid(int(cells))
-    functionals = []
-    for i in range(grid.n_cells + 1):
-        parse_header(next_line(lines, f"boundary {i}"), f"boundary {i}")
-        functionals.append(functional_from_lines(lines, next_line(lines, f"functional at boundary {i}")))
-    return SkorohodProcess(grid, functionals, provenance)
-
-
-def process_from_text(fp: TextIO) -> SkorohodProcess:
-    return read_text(fp, "process", _process_from_lines)

@@ -18,6 +18,7 @@ error beyond float roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -132,14 +133,13 @@ def optional_sampling_check(
     S: GridStoppingTime,
     T: GridStoppingTime,
     batch: PathBatch,
-    workers: int = 1,
 ) -> list[SamplingRow]:
     """z-scores of E[G (Y_T - Y_S)] over a panel of S-measurable G."""
     s_idx = S.eval(batch)
     t_idx = T.eval(batch)
     if np.any(s_idx > t_idx):
         raise ValueError("S exceeds T on some path")
-    curve = Y.eval_batch(batch, workers)
+    curve = Y.eval_batch(batch)
     rows = np.arange(batch.count)
     diff = curve[rows, t_idx] - curve[rows, s_idx]
     out = []
@@ -164,27 +164,30 @@ class StoppedIntegralReport:
 
 
 def stopped_integral(
-    step: StepProcess, T: GridStoppingTime, batch: PathBatch, workers: int = 1
-) -> StoppedIntegralReport:
-    """Interval-value sum with stopped increments vs the frozen curve.
+    step: StepProcess, times: Sequence[GridStoppingTime], batch: PathBatch
+) -> list[StoppedIntegralReport]:
+    """Interval-value sum with stopped increments vs the frozen curve, per time.
 
     lhs sums F_i (X_{T and t_{i+1}} - X_{T and t_i}) over the partition;
     rhs evaluates the integral process of the step integrand at every
     boundary and reads the column T lands on.  Because each F_i has no
-    kernel support inside its own interval, the two agree pathwise.
+    kernel support inside its own interval, the two agree pathwise.  The
+    coefficients and the curve are evaluated once for all the times.
     """
-    t_idx = T.eval(batch)
     bv = batch.boundary_values()
     rows = np.arange(batch.count)
-    coeffs = eval_many(list(step.values), batch, workers)
-    lhs = np.zeros(batch.count)
-    for i, (lo, hi) in enumerate(step.partition.intervals()):
-        left = bv[rows, np.minimum(t_idx, lo)]
-        right = bv[rows, np.minimum(t_idx, hi)]
-        lhs += coeffs[i] * (right - left)
-    curve = skorohod_process(step.as_process(), provenance="stopped").eval_batch(batch, workers)
-    rhs = curve[rows, t_idx]
-    return StoppedIntegralReport(lhs, rhs)
+    coeffs = eval_many(list(step.values), batch)
+    curve = skorohod_process(step.as_process(), provenance="stopped").eval_batch(batch)
+    out = []
+    for T in times:
+        t_idx = T.eval(batch)
+        lhs = np.zeros(batch.count)
+        for i, (lo, hi) in enumerate(step.partition.intervals()):
+            left = bv[rows, np.minimum(t_idx, lo)]
+            right = bv[rows, np.minimum(t_idx, hi)]
+            lhs += coeffs[i] * (right - left)
+        out.append(StoppedIntegralReport(lhs, curve[rows, t_idx]))
+    return out
 
 
 def second_moment_curve(Y: SkorohodProcess) -> np.ndarray:

@@ -5,7 +5,11 @@ fixed size, seed, and tolerance, and also asserts a wall-clock budget so
 regressions in asymptotics get caught, not just regressions in values.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,22 +205,33 @@ def test_criterion_09_stopped_integral_identity():
         v = ito_skorohod_integrand(u)
         for d in (1, 2):
             step = step_approximation(v, Partition.dyadic(grid, d))
-            for T in rules:
-                assert stopped_integral(step, T, batch).max_abs_gap() <= PATHWISE
+            for rep in stopped_integral(step, rules, batch):
+                assert rep.max_abs_gap() <= PATHWISE
     assert time.perf_counter() - t0 < 5.0
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def test_criterion_10_worker_determinism():
+    # Two interpreters with different string-hash seeds (and worker counts)
+    # must print the same bytes: no output order may follow set or dict
+    # iteration over hashed strings.
     pinned = (
         ("isometry", dict(N=8, L=3, paths=100_000, seed=1)),
         ("reversal", dict(N=64, n=2, t=0.5, paths=10_000, seed=1)),
         ("stopping", dict(N=16, paths=100_000, seed=1)),
     )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     for name, kw in pinned:
+        flags = [arg for key, value in kw.items() for arg in (f"--{key}", str(value))]
         texts = []
-        for workers in (1, 4):
-            cfg = ExperimentConfig(experiment=name, workers=workers, **kw)
-            res = run_experiment(cfg)
-            assert res.ok, res.failures
-            texts.append(res.csv_text())
-        assert texts[0] == texts[1], f"{name} output changed with the worker count"
+        for hash_seed, workers in (("0", 1), ("12345", 4)):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "skorochaos.cli", name, *flags, "--workers", str(workers)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            texts.append(proc.stdout)
+        assert texts[0] == texts[1], f"{name} output changed between interpreters"

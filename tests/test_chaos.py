@@ -6,7 +6,6 @@ in a single increment for the Malliavin operator, and Monte Carlo for
 the isometry.
 """
 
-import io
 import math
 
 import numpy as np
@@ -21,8 +20,6 @@ from skorochaos.chaos import (
     eval_functional,
     eval_many,
     first_order,
-    functional_from_text,
-    functional_to_text,
     hermite_functional,
     hermite_values,
     malliavin_derivative,
@@ -93,13 +90,6 @@ def test_eval_many_matches_single(grid8, batch8):
     stacked = eval_many(fs, batch8)
     for i, F in enumerate(fs):
         np.testing.assert_array_equal(stacked[i], eval_functional(F, batch8))
-
-
-def test_eval_worker_independence(grid8, batch8):
-    F = hermite_functional(StepFunction.constant(grid8, 1.0), 3)
-    a = eval_functional(F, batch8, workers=1)
-    b = eval_functional(F, batch8, workers=4)
-    assert a.tobytes() == b.tobytes()
 
 
 def test_product_formula_matches_pathwise(grid8, batch8):
@@ -195,20 +185,6 @@ def test_duality_of_derivative_and_integral(grid8):
 def test_functional_validation_errors(mean):
     with pytest.raises(ValueError, match="not finite"):
         ChaosFunctional(GRID, mean)
-
-
-def test_text_round_trip(grid8):
-    F = ChaosFunctional(
-        grid8,
-        -0.75,
-        {1: from_step(StepFunction.constant(grid8, 1.25)), 3: tensor_power(StepFunction.indicator(grid8, 0.0, 0.25), 3)},
-    )
-    buf = io.StringIO()
-    functional_to_text(F, buf)
-    buf.seek(0)
-    back = functional_from_text(buf)
-    assert back.mean == F.mean
-    assert back.max_abs_diff(F) == 0.0
 
 
 def small_functional():

@@ -53,8 +53,8 @@ def oracle_eval_many(functionals, batch):
     return out
 
 
-def assert_same_bytes(functionals, batch, workers=1):
-    got = eval_many(functionals, batch, workers)
+def assert_same_bytes(functionals, batch):
+    got = eval_many(functionals, batch)
     want = oracle_eval_many(functionals, batch)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -141,12 +141,11 @@ def test_backward_ito_window_functionals_match_oracle(n_cells, order):
 
 
 @pytest.mark.parametrize("count", [0, 1, 8193])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_batch_sizes_and_workers_match_oracle(count, workers):
+def test_batch_sizes_match_oracle(count):
     grid = Grid(6)
     Y = skorohod_process(brownian_terminal_process(grid))
     fs = [constant_functional(grid, -0.0), *Y.functionals]
-    assert_same_bytes(fs, sample_paths(grid, count, seed=17), workers)
+    assert_same_bytes(fs, sample_paths(grid, count, seed=17))
 
 
 def test_no_functionals():

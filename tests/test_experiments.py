@@ -87,6 +87,7 @@ def test_format_value_round_trips_floats():
         dict(experiment="isometry", L=5),
         dict(experiment="isometry", paths=1),
         dict(experiment="theorem1", N=8, depth=5),
+        dict(experiment="theorem1", N=16, depth=3),
         dict(experiment="geometry", M=0),
         dict(experiment="geometry", M=7),
         dict(experiment="reversal", n=4),
@@ -158,6 +159,7 @@ def test_cli_invalid_value_exits_2(capsys):
         ["reversal", "--N", "8", "--t", "nan"],
         ["isometry", "--N", "8", "--seed", "-1"],
         ["geometry", "--seed", "-1"],
+        ["theorem1", "--N", "16", "--depth", "3"],
     ):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from skorochaos.grid import (
     TimeSet,
     all_selections,
     exact_below_count,
-    in_selection_region,
     in_selection_region_at,
     verify_region_partition,
 )
@@ -50,7 +49,7 @@ def test_partition_dyadic_family(grid16):
     fam = Partition.dyadic_family(grid16)
     assert [p.n_intervals for p in fam] == [1, 2, 4, 8, 16]
     assert fam[0].bounds == (0, 16)
-    assert fam[-1].mesh() == pytest.approx(1 / 16)
+    assert fam[-1].bounds == tuple(range(17))
 
 
 def test_partition_rejects_bad_bounds(grid8):
@@ -71,8 +70,6 @@ def test_selection_count():
 def test_selection_region_membership():
     # choosing coordinate 0 out of two: region is x0 < x1 with x0 below t
     sel = Selection(total=2, indices=(0,))
-    assert in_selection_region(sel, (0.2, 0.9))
-    assert not in_selection_region(sel, (0.9, 0.2))
     assert in_selection_region_at(sel, 0.5, (0.2, 0.9))
     assert not in_selection_region_at(sel, 0.1, (0.2, 0.9))
 

@@ -4,7 +4,6 @@ The brute-force oracles expand kernels over ordered cell tuples, so they
 are independent of the multiset bookkeeping used by the implementation.
 """
 
-import io
 import itertools
 import math
 
@@ -21,8 +20,6 @@ from skorochaos.kernels import (
     constant_kernel,
     contract,
     from_step,
-    kernel_from_text,
-    kernel_to_text,
     orderings,
     project,
     restrict_below_count,
@@ -170,17 +167,6 @@ def test_tensor_power_norm_identity():
     h = StepFunction(GRID4, np.array([0.5, 1.0, -1.5, 2.0]))
     for n in (1, 2, 3):
         assert tensor_power(h, n).norm_sq() == pytest.approx(h.norm_sq() ** n, rel=1e-13)
-
-
-def test_text_round_trip():
-    f = SymKernel(GRID4, 3, {(1, 2, 4): -0.123456789012345678, (2, 2, 2): 1e-300, (1, 1, 4): 7.25})
-    buf = io.StringIO()
-    kernel_to_text(f, buf)
-    buf.seek(0)
-    back = kernel_from_text(buf)
-    assert back.order == f.order
-    assert back.grid == f.grid
-    assert back.data == f.data
 
 
 def test_validation_errors():

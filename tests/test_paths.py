@@ -1,12 +1,9 @@
-"""Path sampling determinism, step functions, and batch round-trips."""
+"""Path sampling determinism, step functions, and batch operations."""
 
-import io
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from skorochaos.grid import Grid
@@ -15,10 +12,8 @@ from skorochaos.paths import (
     PathBatch,
     StepFunction,
     isonormal_eval,
-    read_batch,
     reverse_batch,
     sample_paths,
-    write_batch,
 )
 
 
@@ -40,15 +35,6 @@ def test_prefix_stability(grid8):
     np.testing.assert_array_equal(large.increments[:10], small.increments)
 
 
-@settings(max_examples=20, deadline=None)
-@given(workers=st.integers(min_value=1, max_value=8))
-def test_worker_count_never_changes_samples(workers):
-    grid = Grid(8)
-    base = sample_paths(grid, 37, seed=13, workers=1)
-    other = sample_paths(grid, 37, seed=13, workers=workers)
-    assert base.increments.tobytes() == other.increments.tobytes()
-
-
 def _oracle_increments(grid, count, seed):
     """The per-path stream: one numpy Philox generator keyed by (seed, path index)."""
     n = grid.n_cells
@@ -67,10 +53,9 @@ def test_sampler_matches_per_path_philox_oracle(seed, width):
     assert got.increments.tobytes() == _oracle_increments(grid, 37, seed).tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_sampler_matches_oracle_across_block_boundary(workers):
+def test_sampler_matches_oracle_across_block_boundary():
     grid, count = Grid(5), _BLOCK_PATHS + 3
-    got = sample_paths(grid, count, seed=2**63 + 5, workers=workers)
+    got = sample_paths(grid, count, seed=2**63 + 5)
     assert got.increments.tobytes() == _oracle_increments(grid, count, 2**63 + 5).tobytes()
 
 
@@ -133,16 +118,6 @@ def test_reverse_batch_matches_reversed_path(batch8):
     rbv = reverse_batch(batch8).boundary_values()
     want = bv[:, -1:] - bv[:, ::-1]
     np.testing.assert_allclose(rbv, want, atol=1e-15)
-
-
-def test_batch_round_trip(grid8, batch8):
-    buf = io.BytesIO()
-    write_batch(buf, batch8)
-    buf.seek(0)
-    back = read_batch(buf)
-    assert back.grid == grid8
-    assert back.seed == batch8.seed
-    np.testing.assert_array_equal(back.increments, batch8.increments)
 
 
 def test_batch_shape_validated(grid8):

@@ -66,15 +66,6 @@ def test_representation_endpoints(grid8):
     assert rep.value_at(grid8.n_cells).max_abs_diff(centered) <= 1e-15
 
 
-def test_eval_curve_matches_value_at(grid8, batch8):
-    rep = BackwardRepresentation(mixed_functional(grid8))
-    curve = rep.eval_curve(batch8)
-    for b in (0, 3, 8):
-        np.testing.assert_allclose(
-            curve[:, b], eval_functional(rep.value_at(b), batch8), atol=1e-12
-        )
-
-
 def test_reversed_value_projects_on_reversed_past(grid8):
     F = mixed_functional(grid8)
     rep = BackwardRepresentation(F)

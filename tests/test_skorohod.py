@@ -1,6 +1,5 @@
 """Integral processes: closed forms, defect zeros, extraction, energies."""
 
-import io
 import math
 
 import numpy as np
@@ -13,10 +12,9 @@ from skorochaos.chaos import (
     constant_functional,
     eval_functional,
     first_order,
-    functional_from_text,
 )
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import kernel_from_text, tensor_power
+from skorochaos.kernels import tensor_power
 from skorochaos.paths import StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
@@ -30,8 +28,6 @@ from skorochaos.skorohod import (
     ito_skorohod_integrand,
     martingale_defect,
     max_increment_energy,
-    process_from_text,
-    process_to_text,
     projected_synthesis_process,
     region_energy_bound,
     resynthesize,
@@ -199,95 +195,6 @@ def test_extraction_cross_check_catches_tampering(grid8):
         extract_region_kernels(u, other)
 
 
-def test_process_text_round_trip(grid8):
-    Y = skorohod_process(terminal_plus_path(grid8))
-    buf = io.StringIO()
-    process_to_text(Y, buf)
-    buf.seek(0)
-    back = process_from_text(buf)
-    assert back.provenance == Y.provenance
-    worst = max(
-        Y.at_boundary(b).max_abs_diff(back.at_boundary(b))
-        for b in range(grid8.n_cells + 1)
-    )
-    assert worst == 0.0
-
-
-@pytest.mark.parametrize("provenance", ["my run", "", " direct", "direct\n", "a\tb"])
-def test_process_to_text_rejects_unreadable_provenance(provenance):
-    Y = skorohod_process(terminal_plus_path(Grid(2)), provenance)
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match="provenance"):
-        process_to_text(Y, buf)
-    assert buf.getvalue() == ""
-
-
-READERS = {"kernel": kernel_from_text, "functional": functional_from_text, "process": process_from_text}
-NO_KERNELS = "functional cells 1 mean 0.0 kernels 0"
-
-
-@pytest.mark.parametrize(
-    "reader, text",
-    [
-        ("kernel", ""),
-        ("kernel", "order 1 cells\n"),
-        ("kernel", "order 1 cells 4 junk\n1=1.0\n"),
-        ("kernel", "order 1 cells 4\n1=nan\n"),
-        ("kernel", "order 1 cells 4\n1=1.0\n1=2.0\n"),
-        ("kernel", "order 1 cells 4\n1=1.0\n\n2=1.0\n"),
-        ("functional", "functional cells 4"),
-        ("functional", "functional cells 4 mean inf kernels 0"),
-        ("functional", "functional cells 4 mean 0.0 kernels 1\n"),
-        ("functional", "functional cells 4 mean 0.0 kernels 2\norder 1 cells 4\n1=1.0\n\norder 1 cells 4\n2=1.0\n"),
-        ("process", "skorohod cells"),
-        ("process", "skorohod cells 1 provenance direct extra"),
-        ("process", f"skorohod cells 1 provenance direct\nboundary 7\n{NO_KERNELS}\nboundary 3\n{NO_KERNELS}"),
-        ("process", f"skorohod cells 1 provenance direct\nboundary 0\n{NO_KERNELS}"),
-        ("process", f"skorohod cells 1 provenance direct\n{NO_KERNELS}\n{NO_KERNELS}"),
-    ],
-)
-def test_text_readers_reject_malformed_input(reader, text):
-    with pytest.raises(ValueError):
-        READERS[reader](io.StringIO(text))
-
-
-def _round_trip_lines():
-    buf = io.StringIO()
-    process_to_text(skorohod_process(terminal_plus_path(Grid(2))), buf)
-    return buf.getvalue().splitlines()
-
-
-def _swap_word(line, i, word):
-    words = line.split()
-    if words:
-        words[i % len(words)] = word
-    return " ".join(words)
-
-
-_VALID = st.sampled_from(_round_trip_lines())
-_TOKENS = st.sampled_from(
-    ["skorohod", "functional", "order", "cells", "mean", "kernels", "provenance", "boundary", "direct",
-     "0", "1", "2", "3", "-1", "0.5", "nan", "inf", "1e999", "1=0.5", "1,2=1.0", "2,1=1.0", "="]
-)
-# valid lines, valid lines cut short or with one word swapped, and noise
-_LINES = st.one_of(
-    _VALID,
-    st.builds(lambda line, k: " ".join(line.split()[:k]), _VALID, st.integers(0, 6)),
-    st.builds(_swap_word, _VALID, st.integers(0, 6), _TOKENS),
-    st.lists(_TOKENS, max_size=8).map(" ".join),
-    st.text(max_size=12),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(reader=st.sampled_from(sorted(READERS)), lines=st.lists(_LINES, max_size=16))
-def test_text_readers_raise_only_value_error(reader, lines):
-    try:
-        READERS[reader](io.StringIO("\n".join(lines)))
-    except ValueError:
-        pass
-
-
 def step_coeff_strategy(grid):
     # first-order coefficients supported outside a fixed middle interval
     head = StepFunction.indicator(grid, 0.0, 0.25)
@@ -306,7 +213,7 @@ def step_coeff_strategy(grid):
 @given(data=st.data())
 def test_integral_of_random_step_is_defect_free(data):
     grid = Grid(8)
-    part = Partition.from_times(grid, [0.0, 0.25, 0.75, 1.0])
+    part = Partition(grid, (0, 2, 6, 8))
     vals = tuple(data.draw(step_coeff_strategy(grid)) for _ in range(3))
     # middle-interval coefficient must avoid its own interval: zero it there
     step = StepProcess(

@@ -94,8 +94,7 @@ def test_stopped_integral_identity(grid8, batch8):
         v = ito_skorohod_integrand(u)
         for d in (1, 2):
             step = step_approximation(v, Partition.dyadic(grid8, d))
-            for T in rules:
-                rep = stopped_integral(step, T, batch8)
+            for rep in stopped_integral(step, rules, batch8):
                 assert rep.max_abs_gap() <= 1e-10
 
 
