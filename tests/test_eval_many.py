@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from skorochaos.chaos import ChaosFunctional, constant_functional, eval_many, first_order, hermite_values
 from skorochaos.grid import Grid
 from skorochaos.kernels import SymKernel, tensor_power
-from skorochaos.paths import StepFunction, sample_paths
+from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.reversal import BackwardRepresentation
 from skorochaos.skorohod import brownian_terminal_process, skorohod_process
 
@@ -141,11 +141,22 @@ def test_backward_ito_window_functionals_match_oracle(n_cells, order):
 
 
 @pytest.mark.parametrize("count", [0, 1, 8193])
-def test_batch_sizes_match_oracle(count):
+@pytest.mark.parametrize("parts", [1, 3])
+def test_batch_sizes_and_workers_match_oracle(count, parts):
+    """Each path's row is the same whether the batch is evaluated whole or in
+    ``parts`` contiguous slices, one call each, as a split over workers would."""
     grid = Grid(6)
     Y = skorohod_process(brownian_terminal_process(grid))
     fs = [constant_functional(grid, -0.0), *Y.functionals]
-    assert_same_bytes(fs, sample_paths(grid, count, seed=17))
+    batch = sample_paths(grid, count, seed=17)
+    bounds = np.linspace(0, count, parts + 1).astype(int)
+    got = np.concatenate(
+        [eval_many(fs, PathBatch(grid, batch.seed, batch.increments[a:b])) for a, b in zip(bounds, bounds[1:])],
+        axis=1,
+    )
+    want = oracle_eval_many(fs, batch)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_no_functionals():

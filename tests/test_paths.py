@@ -53,8 +53,9 @@ def test_sampler_matches_per_path_philox_oracle(seed, width):
     assert got.increments.tobytes() == _oracle_increments(grid, 37, seed).tobytes()
 
 
-def test_sampler_matches_oracle_across_block_boundary():
-    grid, count = Grid(5), _BLOCK_PATHS + 3
+@pytest.mark.parametrize("extra", [1, 3])
+def test_sampler_matches_oracle_across_block_boundary(extra):
+    grid, count = Grid(5), _BLOCK_PATHS + extra
     got = sample_paths(grid, count, seed=2**63 + 5)
     assert got.increments.tobytes() == _oracle_increments(grid, count, 2**63 + 5).tobytes()
 
