@@ -112,10 +112,8 @@ class BFProcess:
             total = total.add(s.value_at(b))
         return total
 
-    def as_skorohod(self, provenance: str = "two-sided") -> SkorohodProcess:
-        return SkorohodProcess(
-            self.grid, [self.value_at(b) for b in range(self.grid.n_cells + 1)], provenance
-        )
+    def as_skorohod(self) -> SkorohodProcess:
+        return SkorohodProcess(self.grid, [self.value_at(b) for b in range(self.grid.n_cells + 1)])
 
 
 def _basis_index(multisets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -11,8 +11,9 @@ a multiset recovers Lebesgue integrals, e.g.
 where m_j are the multiplicities of mu.  The module implements the kernel
 algebra needed by the chaos calculus: symmetrization, symmetrized tensor
 products and contractions, projections onto cell sets, restriction by the
-number of variables below a threshold, time reversal, and the cell maps of
-the Malliavin derivative and the Skorohod integral.
+number of variables below a threshold, time reversal, the cell maps of
+the Malliavin derivative and the Skorohod integral, and the read-off of
+the Duc-Nualart region kernels f_{l,q} of an integral process.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
@@ -35,7 +36,7 @@ import itertools
 import math
 from bisect import bisect_right
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .grid import Grid, TimeSet
 from .paths import StepFunction
@@ -55,7 +56,7 @@ __all__ = [
     "remove_cell",
     "add_cell",
     "move_cell",
-    "stored_multisets",
+    "region_kernels",
     "tensor_power",
     "from_step",
     "constant_kernel",
@@ -411,19 +412,38 @@ def move_cell(f: SymKernel, a: int, c: int, weight: float) -> SymKernel:
     return SymKernel._built(f.grid, f.order, out)
 
 
-def stored_multisets(kernels: Iterable[SymKernel]) -> set[tuple[int, ...]]:
-    """Every multiset that one of the kernels stores.
+def region_kernels(
+    grid: Grid, l: int, snapshots: Iterable[SymKernel], parts: Sequence[SymKernel | float | None]
+) -> list[SymKernel]:
+    """The region kernels f_{l,0..l} of an integral process, listed by q.
 
-    The set is filled with ``set.update`` on each kernel's dict in turn.
-    CPython sizes the table differently when a set is filled from a dict
-    than one item at a time, so the iteration order, which sets the order
-    of ``extract_region_kernels``' output and so of its ``norm_sq`` sums,
-    depends on filling it this way.
+    f_{l,q}(mu) = (1/l) * sum over the q smallest positions i of
+    parts[mu_i - 1](mu without mu_i): the integrand's order-(l - 1) kernel
+    at that cell (None for none), or its mean when l = 1.  One running sum
+    per multiset gives every q.  The multisets are those the snapshots
+    store, in the order of a set filled by ``set.update`` on each
+    snapshot's dict in turn; CPython sizes a set filled item by item
+    differently, which would reorder every ``norm_sq`` sum over the output.
     """
-    out: set[tuple[int, ...]] = set()
-    for f in kernels:
-        out.update(f.data)
-    return out
+    _check_shape(grid, l)
+    if len(parts) != grid.n_cells:
+        raise ValueError(f"need one integrand part per cell, got {len(parts)}")
+    support: set[tuple[int, ...]] = set()
+    for f in snapshots:
+        support.update(f.data)
+    out: list[dict[tuple[int, ...], float]] = [{} for _ in range(l + 1)]
+    for mu in support:
+        s = 0.0
+        for i, c in enumerate(mu):
+            part = parts[c - 1]
+            if l == 1:
+                s += part
+            elif part is not None:
+                s += part.data.get(mu[:i] + mu[i + 1 :], 0.0)
+            v = s / l
+            if v != 0.0:
+                out[i + 1][mu] = v
+    return [SymKernel._built(grid, l, d) for d in out]
 
 
 def _dense_guard(grid: Grid, order: int) -> None:

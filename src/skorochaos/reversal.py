@@ -186,14 +186,12 @@ class PhiSpec:
     """Integrand of functional form: fn(alpha, coordinates of the reversed path).
 
     Each step function g contributes the coordinate X̂(g 1_[0, alpha]);
-    fn is evaluated at every reversed boundary.  The smooth flag records
-    the caller's assertion that fn is continuously differentiable, the
-    standing hypothesis for the bracket terms to make sense.
+    fn is evaluated at every reversed boundary; the bracket terms assume it
+    is continuously differentiable.
     """
 
     fn: Callable[..., np.ndarray]
     steps: tuple[StepFunction, ...] = ()
-    smooth: bool = True
 
     def sample_boundaries(self, rev: PathBatch) -> np.ndarray:
         """Values at reversed boundaries 0..n, shape (count, n + 1)."""
@@ -243,8 +241,6 @@ def semimartingale_decomposition_check(
     y - (sum - b_1 + b_{1-t}) collects pure quadratic-variation noise and
     vanishes in probability as the grid refines.
     """
-    if not spec.smooth:
-        raise ValueError("the decomposition requires the smoothness assertion on fn")
     grid = batch.grid
     n = grid.n_cells
     b = grid.boundary_index(t)

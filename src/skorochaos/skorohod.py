@@ -32,7 +32,7 @@ import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
 from .grid import Grid, Partition, TimeSet
-from .kernels import SymKernel, add_cell, move_cell, restrict_below_count, stored_multisets
+from .kernels import SymKernel, add_cell, move_cell, region_kernels, restrict_below_count
 from .paths import PathBatch
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "duality_gap",
     "EnergyReport",
     "max_increment_energy",
-    "ExtractionInconsistency",
     "extract_region_kernels",
     "resynthesize",
     "region_energy_bound",
@@ -171,9 +170,9 @@ class StepProcess:
 class SkorohodProcess:
     """t -> integral of u over (0, t], one chaos functional per boundary."""
 
-    __slots__ = ("grid", "functionals", "provenance")
+    __slots__ = ("grid", "functionals")
 
-    def __init__(self, grid: Grid, functionals: Sequence[ChaosFunctional], provenance: str = "direct"):
+    def __init__(self, grid: Grid, functionals: Sequence[ChaosFunctional]):
         functionals = tuple(functionals)
         if len(functionals) != grid.n_cells + 1:
             raise ValueError("need one functional per boundary, 0..n_cells")
@@ -182,7 +181,6 @@ class SkorohodProcess:
                 raise ValueError("functional grid differs from process grid")
         self.grid = grid
         self.functionals = functionals
-        self.provenance = provenance
 
     def at_boundary(self, i: int) -> ChaosFunctional:
         return self.functionals[i]
@@ -194,7 +192,7 @@ class SkorohodProcess:
         if other.grid != self.grid:
             raise ValueError("processes live on different grids")
         pieces = [a.sub(b) for a, b in zip(self.functionals, other.functionals)]
-        return SkorohodProcess(self.grid, pieces, f"{self.provenance}-minus-{other.provenance}")
+        return SkorohodProcess(self.grid, pieces)
 
     def eval_batch(self, batch: PathBatch) -> np.ndarray:
         """Pathwise values at every boundary, shape (count, n_cells + 1)."""
@@ -205,7 +203,7 @@ class SkorohodProcess:
         return diff.second_moment()
 
     def __repr__(self) -> str:
-        return f"SkorohodProcess(cells={self.grid.n_cells}, provenance={self.provenance!r})"
+        return f"SkorohodProcess(cells={self.grid.n_cells})"
 
 
 def _partial_integrals(u: ChaosProcess, b: int) -> list[ChaosFunctional]:
@@ -230,9 +228,9 @@ def _partial_integrals(u: ChaosProcess, b: int) -> list[ChaosFunctional]:
     return out
 
 
-def skorohod_process(u: ChaosProcess, provenance: str = "direct") -> SkorohodProcess:
+def skorohod_process(u: ChaosProcess) -> SkorohodProcess:
     """Integrate u cell by cell, snapshotting the kernels at each boundary."""
-    return SkorohodProcess(u.grid, _partial_integrals(u, u.grid.n_cells), provenance)
+    return SkorohodProcess(u.grid, _partial_integrals(u, u.grid.n_cells))
 
 
 def skorohod_integral(u: ChaosProcess, t: float) -> ChaosFunctional:
@@ -321,7 +319,7 @@ def synthesis_eval(step: StepProcess, batch: PathBatch, t: float) -> np.ndarray:
     return out
 
 
-def projected_synthesis_process(step: StepProcess, provenance: str = "projected-step") -> SkorohodProcess:
+def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     """The conditioned two-sided approximation built from a step process.
 
     At a boundary time t the value is
@@ -357,7 +355,7 @@ def projected_synthesis_process(step: StepProcess, provenance: str = "projected-
             )
             total = total.add(multiply(coef, inc))
         snapshots.append(total)
-    return SkorohodProcess(grid, snapshots, provenance)
+    return SkorohodProcess(grid, snapshots)
 
 
 def duality_gap(F: ChaosFunctional, u: ChaosProcess, t: float) -> float:
@@ -399,77 +397,25 @@ def max_increment_energy(Y: SkorohodProcess) -> EnergyReport:
     return EnergyReport(value, best_depth, tuple(rows))
 
 
-class ExtractionInconsistency(RuntimeError):
-    """Read-off kernels disagree with the integrand's direct formula."""
-
-
-def extract_region_kernels(
-    u: ChaosProcess,
-    Y: SkorohodProcess | None = None,
-    tol: float = 1e-12,
-) -> dict[tuple[int, int], SymKernel]:
+def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess | None = None) -> dict[tuple[int, int], SymKernel]:
     """Kernels f_{l,q} of the integral process by count of cells below t.
 
     f_{l,q}(mu) = (1/l) * sum over the q smallest positions i of
     g_{l-1}(mu minus mu_(i); mu_(i)), defined for every multiset including
     diagonal ones.  On the region where exactly q cells of mu lie at or
-    before t this equals the integral's order-l kernel at time t.  When Y
-    is supplied the values are cross-checked against its stored kernels at
-    every achievable (multiset, q) pair and a mismatch raises
-    ExtractionInconsistency.
+    before t this equals the integral's order-l kernel at time t.  Y (the
+    integral of u when None) supplies the orders and multisets, u the
+    values; ``resynthesize`` is the check that they are Y's values, since
+    the process it rebuilds must equal Y at every boundary.
     """
     grid = u.grid
-    # gather candidate multisets per order from the full-time kernels
     full = skorohod_process(u) if Y is None else Y
     out: dict[tuple[int, int], SymKernel] = {}
     for l in range(1, full.at_boundary(grid.n_cells).max_order + 1):
-        support = stored_multisets(F.kernels[l] for F in full.functionals if l in F.kernels)
-        for q in range(0, l + 1):
-            vals: dict[tuple[int, ...], float] = {}
-            for mu in support:
-                s = 0.0
-                for i in range(q):
-                    rest = mu[:i] + mu[i + 1 :]
-                    c = mu[i]
-                    Fu = u.at_cell(c)
-                    if l == 1:
-                        s += Fu.mean
-                    else:
-                        g = Fu.kernels.get(l - 1)
-                        if g is not None:
-                            s += g.value(rest)
-                v = s / l
-                if v != 0.0:
-                    vals[mu] = v
-            out[(l, q)] = SymKernel(grid, l, vals)
-    if Y is not None:
-        _check_read_off(u, Y, out, tol)
+        snapshots = (F.kernels[l] for F in full.functionals if l in F.kernels)
+        parts = [F.mean if l == 1 else F.kernels.get(l - 1) for F in u.functionals]
+        out.update(((l, q), f) for q, f in enumerate(region_kernels(grid, l, snapshots, parts)))
     return out
-
-
-def _check_read_off(
-    u: ChaosProcess,
-    Y: SkorohodProcess,
-    kernels: dict[tuple[int, int], SymKernel],
-    tol: float,
-) -> None:
-    grid = Y.grid
-    for (l, q), f in kernels.items():
-        support = stored_multisets([f, *(F.kernels[l] for F in Y.functionals if l in F.kernels)])
-        for mu in support:
-            # achievable: some boundary has exactly q cells of mu at or before it
-            if q == 0:
-                b = 0
-            else:
-                b = mu[q - 1]
-                if sum(1 for c in mu if c <= b) != q:
-                    continue
-            stored = Y.at_boundary(b).kernels.get(l)
-            read = stored.value(mu) if stored is not None else 0.0
-            if abs(read - f.value(mu)) > tol:
-                raise ExtractionInconsistency(
-                    f"order {l}, count {q}, multiset {mu}: read {read!r} vs direct {f.value(mu)!r}"
-                )
 
 
 def resynthesize(grid: Grid, kernels: dict[tuple[int, int], SymKernel]) -> SkorohodProcess:
@@ -486,7 +432,7 @@ def resynthesize(grid: Grid, kernels: dict[tuple[int, int], SymKernel]) -> Skoro
                 if (l, q) in kernels:
                     ks[l] = ks[l].add(restrict_below_count(kernels[l, q], q, t))
         snapshots.append(ChaosFunctional(grid, 0.0, ks))
-    return SkorohodProcess(grid, snapshots, "region-synthesis")
+    return SkorohodProcess(grid, snapshots)
 
 
 def region_energy_bound(kernels: dict[tuple[int, int], SymKernel]) -> float:

@@ -177,7 +177,7 @@ def stopped_integral(
     bv = batch.boundary_values()
     rows = np.arange(batch.count)
     coeffs = eval_many(list(step.values), batch)
-    curve = skorohod_process(step.as_process(), provenance="stopped").eval_batch(batch)
+    curve = skorohod_process(step.as_process()).eval_batch(batch)
     out = []
     for T in times:
         t_idx = T.eval(batch)

@@ -9,7 +9,6 @@ from skorochaos import (
     Partition,
     StepFunction,
     TimeSet,
-    bf_from_step,
     brownian_path_process,
     brownian_terminal_process,
     conditional_expectation,

@@ -26,7 +26,7 @@ from skorochaos.chaos import (
     multiply,
 )
 from skorochaos.grid import Grid, TimeSet
-from skorochaos.kernels import SymKernel, from_step, sym_tensor_product, tensor_power
+from skorochaos.kernels import SymKernel, from_step, tensor_power
 from skorochaos.paths import PathBatch, StepFunction, isonormal_eval, sample_paths
 
 GRID = Grid(4)

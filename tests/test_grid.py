@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from skorochaos.grid import (
     GenericityError,
-    Grid,
     Partition,
     Selection,
     TimeSet,

@@ -1,10 +1,11 @@
 """Kernel maps: exact agreement with the dict oracles, and well-formed outputs.
 
-The ``oracle_*`` functions are the implementations of four kernel
+The ``oracle_*`` functions are the implementations of five kernel
 builders that edited ``SymKernel.data`` directly, before the multiset
 arithmetic moved into ``skorochaos.kernels`` as kernel maps.  They build
 every result through the public ``SymKernel`` constructor, which checks
-each multiset; the library must agree with them exactly.
+each multiset; the library must agree with them exactly, in values and
+in the order of the stored multisets.
 
 The maps build their results through a private constructor that does not
 re-check the multisets and takes over the dict it is handed, so the
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorochaos.chaos import ChaosFunctional, malliavin_derivative
+from skorochaos.experiments import _ducnualart_integrand
 from skorochaos.grid import Grid, TimeSet
 from skorochaos.kernels import (
     RawTensor,
@@ -92,7 +94,7 @@ def oracle_malliavin_derivative(F, cell):
     return ChaosFunctional(F.grid, mean, ks)
 
 
-def oracle_skorohod_process(u, provenance="direct"):
+def oracle_skorohod_process(u):
     grid = u.grid
     acc_mean_k1 = {}
     acc = {}
@@ -116,7 +118,7 @@ def oracle_skorohod_process(u, provenance="direct"):
                 base = SymKernel(grid, l, dict(d))
                 kernels[l] = kernels[l].add(base) if l in kernels else base
         snapshots.append(ChaosFunctional(grid, 0.0, kernels))
-    return SkorohodProcess(grid, snapshots, provenance)
+    return SkorohodProcess(grid, snapshots)
 
 
 def oracle_ito_skorohod_integrand(u):
@@ -164,7 +166,48 @@ def oracle_resynthesize(grid, kernels):
             if merged:
                 ks[l] = SymKernel(grid, l, merged)
         snapshots.append(ChaosFunctional(grid, 0.0, ks))
-    return SkorohodProcess(grid, snapshots, "region-synthesis")
+    return SkorohodProcess(grid, snapshots)
+
+
+def oracle_stored_multisets(kernels):
+    # set.update on each dict in turn: the fill sets the iteration order
+    out = set()
+    for f in kernels:
+        out.update(f.data)
+    return out
+
+
+def oracle_extract_region_kernels(u, Y=None):
+    grid = u.grid
+    full = skorohod_process(u) if Y is None else Y
+    out = {}
+    for l in range(1, full.at_boundary(grid.n_cells).max_order + 1):
+        support = oracle_stored_multisets(F.kernels[l] for F in full.functionals if l in F.kernels)
+        for q in range(0, l + 1):
+            vals = {}
+            for mu in support:
+                s = 0.0
+                for i in range(q):
+                    rest = mu[:i] + mu[i + 1 :]
+                    Fu = u.at_cell(mu[i])
+                    if l == 1:
+                        s += Fu.mean
+                    else:
+                        g = Fu.kernels.get(l - 1)
+                        if g is not None:
+                            s += g.value(rest)
+                v = s / l
+                if v != 0.0:
+                    vals[mu] = v
+            out[(l, q)] = SymKernel(grid, l, vals)
+    return out
+
+
+def assert_same_region_kernels(got, want):
+    assert list(got) == list(want)
+    for key, f in want.items():
+        assert got[key].order == f.order
+        assert list(got[key].items()) == list(f.items()), key
 
 
 def plain(F):
@@ -187,9 +230,18 @@ def test_builders_match_dict_oracles_exactly(u):
     assert_same_functionals(skorohod_process(u).functionals, oracle_skorohod_process(u).functionals)
     assert_same_functionals(ito_skorohod_integrand(u).functionals, oracle_ito_skorohod_integrand(u).functionals)
     region = extract_region_kernels(u)
+    assert_same_region_kernels(region, oracle_extract_region_kernels(u))
     assert_same_functionals(
         resynthesize(u.grid, region).functionals, oracle_resynthesize(u.grid, region).functionals
     )
+
+
+def test_region_read_off_matches_oracle_on_ducnualart_integrand():
+    # at N=16 the multiset order of this read-off shows in the CSV, and
+    # only the set.update fill of the support gives the oracle's order
+    u = _ducnualart_integrand(Grid(16))
+    Y = skorohod_process(u)
+    assert_same_region_kernels(extract_region_kernels(u, Y), oracle_extract_region_kernels(u, Y))
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,6 +22,7 @@ from skorochaos.kernels import (
     from_step,
     orderings,
     project,
+    region_kernels,
     restrict_below_count,
     reverse_kernel,
     sym_tensor_product,
@@ -194,6 +195,10 @@ def test_validation_errors():
         RawTensor(GRID4, 2, {(2, 1): math.nan})
     with pytest.raises(ValueError):
         RawTensor(Grid(128), 1, {})                  # cell cap
+    with pytest.raises(ValueError, match="one integrand part per cell"):
+        region_kernels(GRID4, 1, [], [1.0] * 3)
+    with pytest.raises(ValueError):
+        region_kernels(GRID4, 0, [], [1.0] * 4)      # order range
 
 
 def sorted_multiset(order):

@@ -3,10 +3,12 @@
 ``kernels.py`` owns the cell-multiset storage of ``SymKernel``: every
 other module reads kernels through ``items()``, ``value()``, ``len()`` and
 ``cells()`` and builds them through the kernel maps or the public
-constructor, so none of them may touch the ``data`` attribute.
+constructor, so none of them may touch the ``data`` attribute.  Every
+name a module lists in ``__all__`` must exist in it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skorochaos"
@@ -23,3 +25,12 @@ def test_only_kernels_reads_kernel_storage():
     assert OWNER in {p.name for p in modules}
     offenders = [f"{p.name}:{line}" for p in modules if p.name != OWNER for line in data_reads(p)]
     assert offenders == [], f"modules other than {OWNER} read .data: {offenders}"
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "skorochaos" if path.stem == "__init__" else f"skorochaos.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name}: {n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == [], f"__all__ names that do not exist: {missing}"

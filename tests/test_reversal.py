@@ -185,9 +185,3 @@ def test_decomposition_residual_is_forward_fluctuation(grid16):
         assert rep.residual_rms() == pytest.approx(
             np.sqrt(np.mean(want**2)), rel=1e-12
         )
-
-
-def test_decomposition_requires_smoothness_flag(grid8, batch8):
-    spec = PhiSpec(fn=lambda alpha, x: np.abs(x), steps=(StepFunction.constant(grid8, 1.0),), smooth=False)
-    with pytest.raises(ValueError):
-        semimartingale_decomposition_check(spec, exact_quadratic_y(grid8), batch8, 0.5)
