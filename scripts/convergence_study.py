@@ -16,17 +16,18 @@ import sys
 import numpy as np
 
 from skorochaos import (
-    BackwardRepresentation,
     ChaosFunctional,
     ExperimentConfig,
     Grid,
     PhiSpec,
     StepFunction,
     backward_ito_eval,
+    clark_ocone_integrand,
     eval_functional,
     run_experiment,
     sample_paths,
     semimartingale_decomposition_check,
+    tail_difference,
     tensor_power,
 )
 
@@ -57,22 +58,20 @@ def reversed_table(paths: int, seed: int) -> None:
     for N in (8, 16, 32, 64, 128, 256):
         grid = Grid(N)
         batch = sample_paths(grid, paths, seed)
+        b = grid.boundary_index(t)
         if N <= 32:
-            rep = BackwardRepresentation(quadratic_functional(grid))
-            y = eval_functional(rep.value_at(grid.boundary_index(t)), batch)
-            s = backward_ito_eval(rep.phi, batch, t)
+            F = quadratic_functional(grid)
+            y = eval_functional(tail_difference(F, b), batch)
+            s = backward_ito_eval(clark_ocone_integrand(F), batch, t)
             mse = f"{float(np.mean((y - s) ** 2)):12.6f}"
         else:
             mse = f"{'':>12}"
 
         spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
-
-        def exact_y(tt, pb):
-            bv = pb.boundary_values()
-            k = grid.boundary_index(tt)
-            return 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - tt
-
-        rms = semimartingale_decomposition_check(spec, exact_y, batch, t).residual_rms()
+        bv = batch.boundary_values()
+        exact_y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - t
+        residual = semimartingale_decomposition_check(spec, exact_y, batch, t)
+        rms = float(np.sqrt(np.mean(residual**2)))
         print(f"{N:>4} {mse} {rms:12.6f}")
 
 

@@ -48,7 +48,6 @@ from .skorohod import (
 )
 from .bf import BFProcess, BFSummand, bf_from_step, split_two_sided, two_sided_approximation
 from .reversal import (
-    BackwardRepresentation,
     PhiSpec,
     backward_ito_eval,
     clark_ocone_integrand,
@@ -56,6 +55,7 @@ from .reversal import (
     quadratic_covariation,
     reverse_functional,
     semimartingale_decomposition_check,
+    tail_difference,
 )
 from .stopping import (
     GridStoppingTime,
@@ -115,7 +115,6 @@ __all__ = [
     "bf_from_step",
     "split_two_sided",
     "two_sided_approximation",
-    "BackwardRepresentation",
     "PhiSpec",
     "backward_ito_eval",
     "clark_ocone_integrand",
@@ -123,6 +122,7 @@ __all__ = [
     "quadratic_covariation",
     "reverse_functional",
     "semimartingale_decomposition_check",
+    "tail_difference",
     "GridStoppingTime",
     "SamplingRow",
     "StoppedIntegralReport",

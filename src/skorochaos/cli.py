@@ -68,15 +68,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _build_config(args)
         result = run_experiment(cfg)
+        text = result.csv_text()
+        if cfg.out is not None:
+            with open(cfg.out, "w", encoding="utf-8") as fp:
+                fp.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = result.csv_text()
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
     for msg in result.failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     status = "pass" if result.ok else "FAIL"

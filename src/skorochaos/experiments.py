@@ -28,13 +28,14 @@ from .grid import GenericityError, Grid, Partition, TimeSet, verify_region_parti
 from .kernels import MAX_CELLS, from_step, sym_tensor_product, tensor_power
 from .paths import StepFunction, reverse_batch, sample_paths
 from .reversal import (
-    BackwardRepresentation,
     PhiSpec,
     backward_ito_eval,
+    clark_ocone_integrand,
     hermite_projection,
     quadratic_covariation,
     reverse_functional,
     semimartingale_decomposition_check,
+    tail_difference,
 )
 from .skorohod import (
     brownian_path_process,
@@ -350,12 +351,11 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
         one = StepFunction.constant(grid, 1.0)
         for k in range(1, cfg.n + 1):
             F = ChaosFunctional(grid, 0.0, {k: tensor_power(one, k)})
-            rep = BackwardRepresentation(F)
             Fh = reverse_functional(F)
             fh = eval_functional(Fh, rev)
             worst = 0.0
             for bb in (0, b, grid.n_cells):
-                lhs = eval_functional(rep.reversed_value_at(bb), rev)
+                lhs = eval_functional(reverse_functional(tail_difference(F, bb)), rev)
                 tail = TimeSet.from_interval(grid, 0.0, grid.boundary_value(grid.n_cells - bb))
                 rhs = fh - eval_functional(conditional_expectation(Fh, tail), rev)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -370,32 +370,27 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
                 res.failures.append(f"reversal: hermite residual {hres:.3e} at n={k}")
 
         F2 = ChaosFunctional(grid, 0.0, {2: tensor_power(one, 2)})
-        rep2 = BackwardRepresentation(F2)
-        y = eval_functional(rep2.value_at(b), batch)
-        s = backward_ito_eval(rep2.phi, batch, cfg.t)
+        y = eval_functional(tail_difference(F2, b), batch)
+        s = backward_ito_eval(clark_ocone_integrand(F2), batch, cfg.t)
         gap_sq = (y - s) ** 2
         mse = float(np.mean(gap_sq))
         mse_se = float(np.std(gap_sq, ddof=1) / np.sqrt(cfg.paths))
         res.rows.append((cfg.N, cfg.t, "backward_ito_gap_mse", mse, mse_se))
 
     spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
-
-    def exact_y(t: float, pb) -> np.ndarray:
-        bv = pb.boundary_values()
-        k = grid.boundary_index(t)
-        return 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - t
-
-    report = semimartingale_decomposition_check(spec, exact_y, batch, cfg.t)
-    msq = float(np.mean(report.residual**2))
-    msq_se = float(np.std(report.residual**2, ddof=1) / np.sqrt(cfg.paths))
+    bv = batch.boundary_values()
+    y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - cfg.t
+    residual = semimartingale_decomposition_check(spec, y, batch, cfg.t)
+    msq = float(np.mean(residual**2))
+    msq_se = float(np.std(residual**2, ddof=1) / np.sqrt(cfg.paths))
     rms = math.sqrt(msq)
     rms_se = msq_se / (2.0 * rms) if rms > 0 else 0.0
     res.rows.append((cfg.N, cfg.t, "decomposition_residual_rms", rms, rms_se))
 
     rbv = rev.boundary_values()
-    qc = quadratic_covariation(grid, 2.0 * rbv, rbv)
+    curve = quadratic_covariation(grid, 2.0 * rbv, rbv)
     for tt in (0.25, 0.5, 0.75, 1.0):
-        vals = qc.curve_at(tt)
+        vals = curve[:, grid.boundary_index(tt)]
         gap = float(np.mean(vals) - 2.0 * tt)
         se = float(np.std(vals, ddof=1) / np.sqrt(cfg.paths))
         res.rows.append((cfg.N, tt, "bracket_vs_2t", gap, se))

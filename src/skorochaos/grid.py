@@ -207,7 +207,7 @@ def in_selection_region_at(sel: Selection, t: float, x: Sequence[float]) -> bool
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold {t!r} outside [0, 1]")
     chosen, rest = sel.split(x)
-    return max(chosen, default=0.0) < t < min(rest, default=1.0)
+    return max(chosen, default=-math.inf) < t < min(rest, default=math.inf)
 
 
 def exact_below_count(total: int, m: int, t: float, x: Sequence[float]) -> bool:

@@ -9,21 +9,22 @@ a multiset recovers Lebesgue integrals, e.g.
     ||f||^2 = sum_mu f(mu)^2 * delta^n * n!/prod_j m_j!
 
 where m_j are the multiplicities of mu.  The module implements the kernel
-algebra needed by the chaos calculus: symmetrization, symmetrized tensor
-products and contractions, projections onto cell sets, restriction by the
-number of variables below a threshold, time reversal, the cell maps of
-the Malliavin derivative and the Skorohod integral, and the read-off of
-the Duc-Nualart region kernels f_{l,q} of an integral process.
+algebra needed by the chaos calculus: symmetrized tensor products and
+contractions, projections onto cell sets, restriction by the number of
+variables below a threshold, time reversal, the cell maps of the
+Malliavin derivative and the Skorohod integral, and the read-off of the
+Duc-Nualart region kernels f_{l,q} of an integral process.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
 Multisets are checked once, where they enter: the public ``SymKernel``
-constructor and ``RawTensor``.  The maps build their results through a
-private constructor, ``SymKernel._built``, that only drops zeros.  It takes over the dict it is handed, so every map
-hands it a fresh dict of Python floats that nothing else holds and that
-the map never touches again: a value that is not a ``float``, such as a
-``np.float64`` from a step function, is converted where it is made, since
-it would print differently in a CSV.
+constructor.  The maps build their results through a private
+constructor, ``SymKernel._built``, that only drops zeros.  It takes over
+the dict it is handed, so every map hands it a fresh dict of Python
+floats that nothing else holds and that the map never touches again: a
+value that is not a ``float``, such as a ``np.float64`` from a step
+function, is converted where it is made, since it would print
+differently in a CSV.
 
 Desk-scale caps: kernels accept at most MAX_CELLS cells and order at most
 MAX_ORDER.  Dense constructors additionally refuse to enumerate more than
@@ -45,8 +46,6 @@ __all__ = [
     "MAX_ORDER",
     "MAX_CELLS",
     "SymKernel",
-    "RawTensor",
-    "symmetrize",
     "sym_tensor_product",
     "disjoint_tensor_product",
     "contract",
@@ -121,32 +120,30 @@ def _split_weight(rho: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return w
 
 
-def _check_shape(grid: Grid, order: int, what: str = "kernel") -> None:
+def _check_shape(grid: Grid, order: int) -> None:
     if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"{what} order {order} outside the supported range 1..{MAX_ORDER}")
+        raise ValueError(f"kernel order {order} outside the supported range 1..{MAX_ORDER}")
     if grid.n_cells > MAX_CELLS:
         raise ValueError(f"kernels support at most {MAX_CELLS} cells, grid has {grid.n_cells}")
 
 
-def _checked_entries(
-    grid: Grid, order: int, values: Mapping[tuple[int, ...], float], what: str, need_sorted: bool
-) -> dict[tuple[int, ...], float]:
+def _checked_entries(grid: Grid, order: int, values: Mapping[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
     """Entries given from outside, checked one by one; zero values are dropped."""
     data: dict[tuple[int, ...], float] = {}
     for tup, v in values.items():
         tup = tuple(tup)
         if len(tup) != order:
-            raise ValueError(f"{what} {tup} does not have order {order}")
+            raise ValueError(f"multiset {tup} does not have order {order}")
         if any(isinstance(c, bool) or not isinstance(c, Integral) for c in tup):
-            raise ValueError(f"{what} {tup} has a cell that is not an integer")
+            raise ValueError(f"multiset {tup} has a cell that is not an integer")
         tup = tuple(int(c) for c in tup)
-        if need_sorted and list(tup) != sorted(tup):
-            raise ValueError(f"{what} {tup} is not sorted")
+        if list(tup) != sorted(tup):
+            raise ValueError(f"multiset {tup} is not sorted")
         if min(tup) < 1 or max(tup) > grid.n_cells:
-            raise ValueError(f"{what} {tup} outside cells 1..{grid.n_cells}")
+            raise ValueError(f"multiset {tup} outside cells 1..{grid.n_cells}")
         v = float(v)
         if not math.isfinite(v):
-            raise ValueError(f"{what} {tup} has the non-finite value {v!r}")
+            raise ValueError(f"multiset {tup} has the non-finite value {v!r}")
         if v != 0.0:
             data[tup] = v
     return data
@@ -161,7 +158,7 @@ class SymKernel:
         _check_shape(grid, order)
         self.grid = grid
         self.order = order
-        self.data = _checked_entries(grid, order, values, "multiset", need_sorted=True)
+        self.data = _checked_entries(grid, order, values)
 
     @classmethod
     def _built(cls, grid: Grid, order: int, values: dict[tuple[int, ...], float]) -> "SymKernel":
@@ -236,31 +233,6 @@ class SymKernel:
 
     def __repr__(self) -> str:
         return f"SymKernel(order={self.order}, cells={self.grid.n_cells}, nnz={len(self.data)})"
-
-
-class RawTensor:
-    """Unsymmetrized values on ordered cell tuples (input to symmetrize)."""
-
-    __slots__ = ("grid", "order", "data")
-
-    def __init__(self, grid: Grid, order: int, values: Mapping[tuple[int, ...], float]):
-        _check_shape(grid, order, "tensor")
-        self.grid = grid
-        self.order = order
-        self.data = _checked_entries(grid, order, values, "tuple", need_sorted=False)
-
-
-def symmetrize(raw: RawTensor) -> SymKernel:
-    """Average the tensor over all argument orderings.
-
-    For each multiset the average runs over its distinct orderings; tuples
-    absent from the tensor count as zero.
-    """
-    acc: dict[tuple[int, ...], float] = {}
-    for tup, v in raw.data.items():
-        mu = tuple(sorted(tup))
-        acc[mu] = acc.get(mu, 0.0) + v
-    return SymKernel._built(raw.grid, raw.order, {mu: s / orderings(mu) for mu, s in acc.items()})
 
 
 def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:

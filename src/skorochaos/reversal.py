@@ -11,9 +11,10 @@ path is again exact kernel algebra.  The pieces here:
   * the discrete backward Ito sum against the reversed increments, whose
     mean-square gap to the exact representation decays like 1/N;
   * closed Hermite forms for F built from a single step function;
-  * pathwise quadratic covariation estimates on dyadic partitions and the
-    forward-plus-bracket decomposition of the representation, whose
-    residual is a pure quadratic-variation fluctuation.
+  * the cumulative pathwise quadratic covariation (bracket) curve of two
+    boundary-sampled paths and the forward-plus-bracket decomposition of
+    the representation, whose residual is a pure quadratic-variation
+    fluctuation.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from .skorohod import ChaosProcess
 
 __all__ = [
     "reverse_functional",
-    "BackwardRepresentation",
+    "tail_difference",
     "clark_ocone_integrand",
     "backward_ito_eval",
     "hermite_projection",
-    "QuadraticCovariation",
     "quadratic_covariation",
     "PhiSpec",
-    "DecompositionReport",
     "semimartingale_decomposition_check",
 ]
 
@@ -55,6 +54,13 @@ __all__ = [
 def reverse_functional(F: ChaosFunctional) -> ChaosFunctional:
     """The same random variable written in reversed-path coordinates."""
     return ChaosFunctional(F.grid, F.mean, {n: reverse_kernel(f) for n, f in F.kernels.items()})
+
+
+def tail_difference(F: ChaosFunctional, b: int) -> ChaosFunctional:
+    """The difference representation at boundary b: F - E[F | cells after b]."""
+    grid = F.grid
+    tail = TimeSet.from_interval(grid, grid.boundary_value(b), 1.0)
+    return F.sub(conditional_expectation(F, tail))
 
 
 def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
@@ -74,25 +80,6 @@ def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
         known = TimeSet.from_interval(grid, grid.boundary_value(fwd_cell), 1.0)
         cells.append(reverse_functional(conditional_expectation(d, known)))
     return ChaosProcess(grid, cells)
-
-
-class BackwardRepresentation:
-    """F together with its tail-difference process and reversed integrand."""
-
-    __slots__ = ("F", "phi")
-
-    def __init__(self, F: ChaosFunctional):
-        self.F = F
-        self.phi = clark_ocone_integrand(F)
-
-    def value_at(self, b: int) -> ChaosFunctional:
-        """Y at boundary b: F minus its projection on cells after b."""
-        grid = self.F.grid
-        tail = TimeSet.from_interval(grid, grid.boundary_value(b), 1.0)
-        return self.F.sub(conditional_expectation(self.F, tail))
-
-    def reversed_value_at(self, b: int) -> ChaosFunctional:
-        return reverse_functional(self.value_at(b))
 
 
 def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, t: float) -> np.ndarray:
@@ -131,9 +118,7 @@ def hermite_projection(
     if abs(h.norm() - 1.0) > 1e-12:
         raise ValueError("the closed form needs a unit-norm step function")
     F = hermite_functional(h, n)
-    rep = BackwardRepresentation(F)
-    b = h.grid.boundary_index(t)
-    lhs = eval_functional(rep.value_at(b), batch)
+    lhs = eval_functional(tail_difference(F, h.grid.boundary_index(t)), batch)
     tail = h.tail(t)
     tau = tail.norm()
     if tau == 0.0:
@@ -145,40 +130,18 @@ def hermite_projection(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class QuadraticCovariation:
-    """Dyadic bracket estimates for two boundary-sampled paths."""
+def quadratic_covariation(grid: Grid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Cumulative sum of increment products, plus U_0 V_0.
 
-    grid: Grid
-    finest_curve: np.ndarray         # (count, n_cells + 1), cumulative
-    level_totals: np.ndarray         # (depth + 1, count), coarse to fine
-    levels: tuple[int, ...]
-
-    def curve_at(self, t: float) -> np.ndarray:
-        return self.finest_curve[:, self.grid.boundary_index(t)]
-
-
-def quadratic_covariation(grid: Grid, U: np.ndarray, V: np.ndarray) -> QuadraticCovariation:
-    """Sum of increment products over dyadic partitions, plus U_0 V_0.
-
-    U and V hold one value per boundary.  The finest-level curve cumulates
-    cell by cell; the level totals sweep the whole dyadic family for the
-    usual convergence diagnostic.
+    U and V hold one value per boundary; the result, shape (count,
+    n_cells + 1), holds the bracket up to each boundary.
     """
     if U.shape != V.shape or U.shape[-1] != grid.n_cells + 1:
         raise ValueError("need boundary-sampled arrays of matching shape")
     base = U[:, :1] * V[:, :1]
-    finest = np.concatenate(
+    return np.concatenate(
         [base, base + np.cumsum(np.diff(U, axis=1) * np.diff(V, axis=1), axis=1)], axis=1
     )
-    levels = tuple(range(grid.depth + 1))
-    totals = np.empty((len(levels), U.shape[0]))
-    for ell in levels:
-        bounds = np.arange(0, grid.n_cells + 1, grid.n_cells // (1 << ell))
-        du = np.diff(U[:, bounds], axis=1)
-        dv = np.diff(V[:, bounds], axis=1)
-        totals[ell] = base[:, 0] + np.sum(du * dv, axis=1)
-    return QuadraticCovariation(grid, finest, totals, levels)
 
 
 @dataclass(frozen=True)
@@ -211,27 +174,10 @@ class PhiSpec:
         return out
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Pathwise pieces of the forward-plus-bracket decomposition at one t."""
-
-    y: np.ndarray
-    ito: np.ndarray
-    bracket_full: np.ndarray
-    bracket_tail: np.ndarray
-    residual: np.ndarray
-
-    def residual_rms(self) -> float:
-        return float(np.sqrt(np.mean(self.residual**2)))
-
-
 def semimartingale_decomposition_check(
-    spec: PhiSpec,
-    exact_y: Callable[[float, PathBatch], np.ndarray],
-    batch: PathBatch,
-    t: float,
-) -> DecompositionReport:
-    """Evaluate y_t against its forward sum and bracket corrections.
+    spec: PhiSpec, y: np.ndarray, batch: PathBatch, t: float
+) -> np.ndarray:
+    """Residual of y_t, sampled on batch, against its forward sum and brackets.
 
     The decomposition reads y_t = (forward sum of the reversed integrand)
     - bracket at 1 + bracket at 1 - t, with the bracket taken between the
@@ -246,7 +192,7 @@ def semimartingale_decomposition_check(
     b = grid.boundary_index(t)
     rev = reverse_batch(batch)
     Q = spec.sample_boundaries(rev)
-    y = np.asarray(exact_y(t, batch), dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
 
     ito = np.zeros(batch.count)
     for k in range(1, b + 1):
@@ -257,5 +203,4 @@ def semimartingale_decomposition_check(
     bracket_full = np.sum(prods, axis=1)
     tail_b = grid.boundary_index(1.0 - t)
     bracket_tail = np.sum(prods[:, :tail_b], axis=1)
-    residual = y - (ito - bracket_full + bracket_tail)
-    return DecompositionReport(y, ito, bracket_full, bracket_tail, residual)
+    return y - (ito - bracket_full + bracket_tail)

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from skorochaos import (
-    BackwardRepresentation,
     ChaosFunctional,
     ExperimentConfig,
     Grid,
@@ -26,6 +25,7 @@ from skorochaos import (
     backward_ito_eval,
     brownian_path_process,
     brownian_terminal_process,
+    clark_ocone_integrand,
     conditional_expectation,
     eval_functional,
     hermite_projection,
@@ -39,6 +39,7 @@ from skorochaos import (
     semimartingale_decomposition_check,
     step_approximation,
     stopped_integral,
+    tail_difference,
     tensor_power,
     two_sided_approximation,
 )
@@ -118,10 +119,9 @@ def test_criterion_06_reversed_representations():
     one = StepFunction.constant(grid, 1.0)
     for n in (1, 2, 3):
         F = ChaosFunctional(grid, 0.0, {n: tensor_power(one, n)})
-        rep = BackwardRepresentation(F)
         Fh = reverse_functional(F)
         for b in (0, 4, 8):
-            lhs = eval_functional(rep.reversed_value_at(b), rev)
+            lhs = eval_functional(reverse_functional(tail_difference(F, b)), rev)
             head = TimeSet.from_interval(grid, 0.0, grid.boundary_value(8 - b))
             rhs = eval_functional(Fh, rev) - eval_functional(
                 conditional_expectation(Fh, head), rev
@@ -135,9 +135,8 @@ def test_criterion_06_reversed_representations():
         g = Grid(N)
         big = sample_paths(g, 10_000, seed=3)
         F2 = ChaosFunctional(g, 0.0, {2: tensor_power(StepFunction.constant(g, 1.0), 2)})
-        rep = BackwardRepresentation(F2)
-        y = eval_functional(rep.value_at(g.boundary_index(0.5)), big)
-        s = backward_ito_eval(rep.phi, big, 0.5)
+        y = eval_functional(tail_difference(F2, g.boundary_index(0.5)), big)
+        s = backward_ito_eval(clark_ocone_integrand(F2), big, 0.5)
         return float(np.mean((y - s) ** 2))
 
     mses = [gap_mse(N) for N in (8, 16, 32)]
@@ -149,28 +148,26 @@ def test_criterion_06_reversed_representations():
 def test_criterion_07_decomposition_residual_scaling():
     t0 = time.perf_counter()
 
-    def residual_rms(N):
+    def decomposition_rms(N):
         grid = Grid(N)
         batch = sample_paths(grid, 10_000, seed=5)
         spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
+        bv = batch.boundary_values()
+        k = grid.boundary_index(0.5)
+        y = 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - 0.5
+        residual = semimartingale_decomposition_check(spec, y, batch, 0.5)
+        return float(np.sqrt(np.mean(residual**2)))
 
-        def exact_y(t, pb):
-            bv = pb.boundary_values()
-            k = grid.boundary_index(t)
-            return 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - t
-
-        return semimartingale_decomposition_check(spec, exact_y, batch, 0.5).residual_rms()
-
-    rmses = [residual_rms(N) for N in (64, 128, 256)]
+    rmses = [decomposition_rms(N) for N in (64, 128, 256)]
     for coarse, fine in zip(rmses, rmses[1:]):
         assert 1.2 <= coarse / fine <= 1.7
 
     grid = Grid(256)
     batch = sample_paths(grid, 10_000, seed=5)
     rbv = reverse_batch(batch).boundary_values()
-    qc = quadratic_covariation(grid, 2.0 * rbv, rbv)
+    curve = quadratic_covariation(grid, 2.0 * rbv, rbv)
     for t in (0.25, 0.5, 0.75, 1.0):
-        vals = qc.curve_at(t)
+        vals = curve[:, grid.boundary_index(t)]
         gap = float(np.mean(vals)) - 2.0 * t
         se = float(np.std(vals, ddof=1) / np.sqrt(batch.count))
         assert abs(gap) <= 3.0 * se

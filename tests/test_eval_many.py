@@ -19,7 +19,7 @@ from skorochaos.chaos import ChaosFunctional, constant_functional, eval_many, fi
 from skorochaos.grid import Grid
 from skorochaos.kernels import SymKernel, tensor_power
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
-from skorochaos.reversal import BackwardRepresentation
+from skorochaos.reversal import clark_ocone_integrand
 from skorochaos.skorohod import brownian_terminal_process, skorohod_process
 
 ORACLE_BLOCK = 8192
@@ -135,7 +135,7 @@ def test_backward_ito_window_functionals_match_oracle(n_cells, order):
     # the integrands backward_ito_eval evaluates over the reversed window (1/2, 1]
     grid = Grid(n_cells)
     F = ChaosFunctional(grid, 0.0, {order: tensor_power(StepFunction.constant(grid, 1.0), order)})
-    phi = BackwardRepresentation(F).phi
+    phi = clark_ocone_integrand(F)
     window = [phi.at_cell(j) for j in range(n_cells // 2 + 1, n_cells + 1)]
     assert_same_bytes(window, sample_paths(grid, 300, seed=13))
 

@@ -29,6 +29,13 @@ def test_each_experiment_passes_at_small_size(name):
         assert len(row) == len(res.columns)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_geometry_covers_the_cube_at_the_endpoints(t):
+    res = run_experiment(ExperimentConfig(experiment="geometry", M=3, t=t, samples=200, seed=5))
+    assert res.ok, res.failures
+    assert res.rows == [(3, t, 200, True, True)]
+
+
 def test_csv_echo_includes_seed_and_trailing_newline():
     cfg = ExperimentConfig(experiment="theorem1", N=16, depth=4, seed=9, workers=3)
     res = run_experiment(cfg)
@@ -181,6 +188,16 @@ def test_cli_writes_out_file(tmp_path, capsys):
     text = dest.read_text()
     assert text.startswith("# experiment=martingale")
     assert text.endswith("\n")
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.csv"
+    rc = main(["martingale", "--N", "4", "--out", str(dest)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not dest.exists()
 
 
 def test_cli_reports_failures(monkeypatch, capsys):

@@ -71,6 +71,15 @@ def test_selection_region_membership():
     sel = Selection(total=2, indices=(0,))
     assert in_selection_region_at(sel, 0.5, (0.2, 0.9))
     assert not in_selection_region_at(sel, 0.1, (0.2, 0.9))
+    # at t = 0 the empty selection, and at t = 1 the full one, is the whole cube
+    x = (0.2, 0.9)
+    none, both = Selection(total=2, indices=()), Selection(total=2, indices=(0, 1))
+    assert in_selection_region_at(none, 0.0, x) and exact_below_count(2, 0, 0.0, x)
+    assert not in_selection_region_at(sel, 0.0, x)
+    assert not in_selection_region_at(both, 0.0, x)
+    assert in_selection_region_at(both, 1.0, x) and exact_below_count(2, 2, 1.0, x)
+    assert not in_selection_region_at(sel, 1.0, x)
+    assert not in_selection_region_at(none, 1.0, x)
 
 
 def test_exact_below_count_matches_direct():

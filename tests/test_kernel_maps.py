@@ -22,7 +22,6 @@ from skorochaos.chaos import ChaosFunctional, malliavin_derivative
 from skorochaos.experiments import _ducnualart_integrand
 from skorochaos.grid import Grid, TimeSet
 from skorochaos.kernels import (
-    RawTensor,
     SymKernel,
     add_cell,
     constant_kernel,
@@ -34,7 +33,6 @@ from skorochaos.kernels import (
     restrict_below_count,
     reverse_kernel,
     sym_tensor_product,
-    symmetrize,
     tensor_power,
 )
 from skorochaos.paths import StepFunction
@@ -281,7 +279,6 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
     step = StepFunction(grid, data.draw(st.lists(VALUES, min_size=grid.n_cells, max_size=grid.n_cells)))
     cells = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
     t = grid.boundary_value(data.draw(st.integers(0, grid.n_cells)))
-    raw = RawTensor(grid, p, {mu[::-1]: v for mu, v in f.items()})
     outputs = [
         (f.scaled(c), p),
         (f.scaled(c_int), p),
@@ -289,7 +286,6 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         (f.add(h), p),
         (f.sub(h), p),
         (f.add(f.scaled(-1.0)), p),
-        (symmetrize(raw), p),
         (sym_tensor_product(f, g), p + q),
         (project(f, TimeSet(grid, cells)), p),
         (reverse_kernel(f), p),

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from skorochaos.grid import Grid, TimeSet
 from skorochaos.kernels import (
     MAX_ORDER,
-    RawTensor,
     SymKernel,
     constant_kernel,
     contract,
@@ -26,7 +25,6 @@ from skorochaos.kernels import (
     restrict_below_count,
     reverse_kernel,
     sym_tensor_product,
-    symmetrize,
     tensor_power,
 )
 from skorochaos.paths import StepFunction
@@ -99,14 +97,6 @@ def test_inner_against_enumeration():
     f, g = kernel_a(), kernel_b()
     assert f.inner(g) == pytest.approx(brute_inner(f, g), rel=1e-13)
     assert f.inner(g) == pytest.approx(g.inner(f), rel=1e-13)
-
-
-def test_symmetrize_averages_orderings():
-    raw = RawTensor(GRID4, 2, {(1, 2): 4.0, (3, 1): 2.0, (2, 2): 5.0})
-    f = symmetrize(raw)
-    assert f.value((1, 2)) == pytest.approx(2.0)   # (4 + 0) / 2 orderings
-    assert f.value((1, 3)) == pytest.approx(1.0)
-    assert f.value((2, 2)) == pytest.approx(5.0)   # single ordering
 
 
 def test_sym_tensor_product_against_enumeration():
@@ -189,12 +179,6 @@ def test_validation_errors():
             SymKernel(GRID4, len(cells), {cells: 2.0})
     f = SymKernel(GRID4, 2, {(np.int64(1), np.int32(3)): 2.0})   # numpy integers are cells
     assert f.value((1, 3)) == 2.0
-    with pytest.raises(ValueError, match="not an integer"):
-        RawTensor(GRID4, 2, {(2, 1.5): 1.0})
-    with pytest.raises(ValueError, match="non-finite"):
-        RawTensor(GRID4, 2, {(2, 1): math.nan})
-    with pytest.raises(ValueError):
-        RawTensor(Grid(128), 1, {})                  # cell cap
     with pytest.raises(ValueError, match="one integrand part per cell"):
         region_kernels(GRID4, 1, [], [1.0] * 3)
     with pytest.raises(ValueError):

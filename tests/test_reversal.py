@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from skorochaos import (
-    BackwardRepresentation,
     ChaosFunctional,
     ChaosProcess,
     PhiSpec,
     StepFunction,
     TimeSet,
     backward_ito_eval,
+    clark_ocone_integrand,
     conditional_expectation,
     eval_functional,
     first_order,
@@ -22,6 +22,7 @@ from skorochaos import (
     sample_paths,
     semimartingale_decomposition_check,
     sym_tensor_product,
+    tail_difference,
     tensor_power,
 )
 
@@ -48,41 +49,39 @@ def test_reverse_functional_is_change_of_variables(grid8, batch8):
 
 
 def test_difference_representation_closed_form(grid8, batch8):
-    rep = BackwardRepresentation(quadratic_terminal(grid8))
+    F = quadratic_terminal(grid8)
     walk = batch8.boundary_values()
     x1 = walk[:, -1]
     for b in range(grid8.n_cells + 1):
         t = grid8.boundary_value(b)
         want = 2.0 * x1 * walk[:, b] - walk[:, b] ** 2 - t
-        got = eval_functional(rep.value_at(b), batch8)
+        got = eval_functional(tail_difference(F, b), batch8)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_representation_endpoints(grid8):
     F = mixed_functional(grid8)
-    rep = BackwardRepresentation(F)
-    assert rep.value_at(0).max_abs_diff(ChaosFunctional(grid8, 0.0, {})) == 0.0
+    assert tail_difference(F, 0).max_abs_diff(ChaosFunctional(grid8, 0.0, {})) == 0.0
     centered = F.sub(ChaosFunctional(grid8, F.mean, {}))
-    assert rep.value_at(grid8.n_cells).max_abs_diff(centered) <= 1e-15
+    assert tail_difference(F, grid8.n_cells).max_abs_diff(centered) <= 1e-15
 
 
 def test_reversed_value_projects_on_reversed_past(grid8):
     F = mixed_functional(grid8)
-    rep = BackwardRepresentation(F)
     Fr = reverse_functional(F)
     n = grid8.n_cells
     for b in range(n + 1):
         head = TimeSet.from_interval(grid8, 0.0, grid8.boundary_value(n - b))
         want = Fr.sub(conditional_expectation(Fr, head))
-        assert rep.reversed_value_at(b).max_abs_diff(want) <= 1e-13
+        assert reverse_functional(tail_difference(F, b)).max_abs_diff(want) <= 1e-13
 
 
 def test_clark_ocone_integrand_closed_form(grid8, batch8):
-    rep = BackwardRepresentation(quadratic_terminal(grid8))
+    phi = clark_ocone_integrand(quadratic_terminal(grid8))
     rev = reverse_batch(batch8)
     rwalk = rev.boundary_values()
     for j in grid8.cells():
-        cell = rep.phi.at_cell(j)
+        cell = phi.at_cell(j)
         for f in cell.kernels.values():
             assert all(mu[-1] < j for mu in f.data)
         got = eval_functional(cell, rev)
@@ -90,12 +89,13 @@ def test_clark_ocone_integrand_closed_form(grid8, batch8):
 
 
 def test_backward_ito_gap_is_reversed_quadratic_fluctuation(grid8, batch8):
-    rep = BackwardRepresentation(quadratic_terminal(grid8))
+    F = quadratic_terminal(grid8)
+    phi = clark_ocone_integrand(F)
     rev = reverse_batch(batch8)
     for t in (0.5, 1.0):
         b = grid8.boundary_index(t)
-        y = eval_functional(rep.value_at(b), batch8)
-        ito = backward_ito_eval(rep.phi, batch8, t)
+        y = eval_functional(tail_difference(F, b), batch8)
+        ito = backward_ito_eval(phi, batch8, t)
         start = grid8.boundary_index(1.0 - t)
         window = rev.increments[:, start:]
         want = np.sum(window**2 - grid8.delta, axis=1)
@@ -123,11 +123,9 @@ def test_hermite_projection_degenerate_tail(grid8, batch8):
     assert h.norm() == pytest.approx(1.0)
     lhs, rhs = hermite_projection(2, h, 0.75, batch8)
     assert rhs is None
-    rep = BackwardRepresentation(
-        ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
-    )
+    F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
     np.testing.assert_allclose(
-        lhs, eval_functional(rep.value_at(6), batch8), atol=1e-12
+        lhs, eval_functional(tail_difference(F, 6), batch8), atol=1e-12
     )
 
 
@@ -140,13 +138,12 @@ def test_quadratic_covariation_deterministic(grid16):
     n = grid16.n_cells
     m = np.arange(n + 1, dtype=np.float64)
     U = np.tile(0.5 + m * grid16.delta, (3, 1))
-    qc = quadratic_covariation(grid16, U, U)
+    curve = quadratic_covariation(grid16, U, U)
+    assert curve.shape == (3, n + 1)
     # base offset plus b cells of squared increment delta^2
     for b in (0, 4, 16):
         want = 0.25 + b * grid16.delta**2
-        np.testing.assert_allclose(qc.curve_at(grid16.boundary_value(b)), want)
-    for ell, total in zip(qc.levels, qc.level_totals):
-        np.testing.assert_allclose(total, 0.25 + 2.0**-ell)
+        np.testing.assert_allclose(curve[:, b], want)
     with pytest.raises(ValueError):
         quadratic_covariation(grid16, U[:, :-1], U[:, :-1])
 
@@ -165,23 +162,17 @@ def test_phispec_samples_reversed_coordinates(grid8, batch8):
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
-def exact_quadratic_y(grid):
-    def y(t, batch):
-        walk = batch.boundary_values()
-        b = grid.boundary_index(t)
-        return 2.0 * walk[:, -1] * walk[:, b] - walk[:, b] ** 2 - t
-
-    return y
+def exact_quadratic_y(batch, t):
+    walk = batch.boundary_values()
+    b = batch.grid.boundary_index(t)
+    return 2.0 * walk[:, -1] * walk[:, b] - walk[:, b] ** 2 - t
 
 
 def test_decomposition_residual_is_forward_fluctuation(grid16):
     batch = sample_paths(grid16, 500, seed=7)
     spec = PhiSpec(fn=lambda alpha, x: 2.0 * x, steps=(StepFunction.constant(grid16, 1.0),))
     for t in (0.25, 0.75, 1.0):
-        rep = semimartingale_decomposition_check(spec, exact_quadratic_y(grid16), batch, t)
+        residual = semimartingale_decomposition_check(spec, exact_quadratic_y(batch, t), batch, t)
         b = grid16.boundary_index(t)
         want = np.sum(batch.increments[:, :b] ** 2 - grid16.delta, axis=1)
-        np.testing.assert_allclose(rep.residual, want, atol=1e-12)
-        assert rep.residual_rms() == pytest.approx(
-            np.sqrt(np.mean(want**2)), rel=1e-12
-        )
+        np.testing.assert_allclose(residual, want, atol=1e-12)

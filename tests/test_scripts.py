@@ -1,0 +1,21 @@
+"""The scripts under ``scripts/`` run end to end on the public API."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_study_prints_both_tables(capsys):
+    study = _load("convergence_study")
+    assert study.main(["--paths", "200"]) == 0
+    out = capsys.readouterr().out
+    assert f"{'depth':>5} {'energy':>12} {'bound':>12} {'ratio':>8}" in out
+    assert f"{'N':>4} {'gap mse':>12} {'resid rms':>12}" in out
