@@ -8,7 +8,7 @@ all finite exact computations; Monte Carlo enters only where a check is
 genuinely statistical.
 """
 
-from .grid import Grid, Partition, TimeSet, verify_region_partition
+from .grid import Grid, Partition, verify_region_partition
 from .paths import PathBatch, StepFunction, isonormal_eval, reverse_batch, sample_paths
 from .kernels import (
     MAX_CELLS,
@@ -61,9 +61,7 @@ from .stopping import (
     GridStoppingTime,
     SamplingRow,
     StoppedIntegralReport,
-    eval_stopping_time,
     optional_sampling_check,
-    second_moment_curve,
     stopped_integral,
 )
 from .experiments import ExperimentConfig, run_experiment
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Grid",
     "Partition",
-    "TimeSet",
     "verify_region_partition",
     "PathBatch",
     "StepFunction",
@@ -126,9 +123,7 @@ __all__ = [
     "GridStoppingTime",
     "SamplingRow",
     "StoppedIntegralReport",
-    "eval_stopping_time",
     "optional_sampling_check",
-    "second_moment_curve",
     "stopped_integral",
     "ExperimentConfig",
     "run_experiment",

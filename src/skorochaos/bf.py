@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, first_order, multiply
-from .grid import Grid, Partition, TimeSet
+from .grid import Grid, Partition
 from .kernels import SymKernel
 from .paths import StepFunction
 from .skorohod import (
@@ -85,11 +85,7 @@ class BFSummand:
 
     def backward_martingale(self, b: int) -> ChaosFunctional:
         """E[G2 | increments after boundary max(b, hi)]."""
-        start = max(b, self.hi)
-        tail = TimeSet.from_interval(
-            self.grid, self.grid.boundary_value(start), 1.0
-        )
-        return conditional_expectation(self.backward, tail)
+        return conditional_expectation(self.backward, 0, max(b, self.hi))
 
     def value_at(self, b: int) -> ChaosFunctional:
         """The summand M_t N_t at a boundary, as an exact product."""

@@ -10,8 +10,8 @@ with He_m the probabilists' Hermite polynomials normalized so that
 exp(t x - t^2 / 2) = sum_m t^m He_m(x); equivalently He_m has leading
 coefficient 1/m!.  Everything here is exact given the kernels: moments
 come from the isometry, the Malliavin derivative at a cell is literally
-the partial derivative in that increment, conditioning on the sigma-field
-of a cell set is kernel projection, and products expand through the
+the partial derivative in that increment, conditioning on the increments
+outside an interval is kernel projection, and products expand through the
 multiplication formula for multiple integrals.
 """
 
@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid, TimeSet
+from .grid import Grid
 from .kernels import SymKernel, contract, disjoint_tensor_product, from_step, project, remove_cell, tensor_power
 from .paths import PathBatch, StepFunction
 
@@ -321,11 +321,13 @@ def malliavin_derivative(F: ChaosFunctional, cell: int) -> ChaosFunctional:
     return ChaosFunctional(F.grid, mean, ks)
 
 
-def conditional_expectation(F: ChaosFunctional, ts: TimeSet) -> ChaosFunctional:
-    """E[F | sigma(increments in ts)]: project every kernel onto the set."""
-    if ts.grid != F.grid:
-        raise ValueError("time set and functional live on different grids")
-    return ChaosFunctional(F.grid, F.mean, {n: project(f, ts) for n, f in F.kernels.items()})
+def conditional_expectation(F: ChaosFunctional, a: int, b: int) -> ChaosFunctional:
+    """E[F | increments outside (a, b]] for boundary indices 0 <= a <= b <= n.
+
+    Every kernel drops the multisets with a cell in (a, b].
+    """
+    F.grid.check_interval(a, b)
+    return ChaosFunctional(F.grid, F.mean, {n: project(f, a, b) for n, f in F.kernels.items()})
 
 
 def multiply(F: ChaosFunctional, G: ChaosFunctional) -> ChaosFunctional:

@@ -5,15 +5,17 @@ Each subcommand maps to one experiment and is built from its entry in
 each experiment validates only those fields.  Flags are long-only and
 override values read from an optional key=value config file, whose keys
 are the subcommand's own flags (plus ``out``).  The table goes to --out
-when given, otherwise to stdout; human-readable pass/fail lines go to
-stderr so the CSV stream stays clean.  Exit status 0 means every
-assertion in the experiment held.
+when given, otherwise to stdout.  A valid config opens --out, truncating
+it, before the experiment runs, so an unwritable path fails at once.
+Human-readable pass/fail lines go to stderr so the CSV stream stays
+clean.  Exit status 0 means every assertion in the experiment held.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .experiments import FIELDS, SPECS, ExperimentConfig, run_experiment
 
@@ -67,13 +69,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        result = run_experiment(cfg)
-        text = result.csv_text()
-        if cfg.out is not None:
-            with open(cfg.out, "w", encoding="utf-8") as fp:
-                fp.write(text)
-        else:
-            sys.stdout.write(text)
+        cfg.validate()
+        with open(cfg.out, "w", encoding="utf-8") if cfg.out is not None else nullcontext(sys.stdout) as fp:
+            result = run_experiment(cfg)
+            fp.write(result.csv_text())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Grid",
-    "TimeSet",
     "Partition",
     "Selection",
     "GenericityError",
@@ -75,6 +74,11 @@ class Grid:
             raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
         return i * self.delta
 
+    def check_interval(self, a: int, b: int) -> None:
+        """Raise unless (a, b] is an interval of boundary indices, 0 <= a <= b <= n."""
+        if not 0 <= a <= b <= self.n_cells:
+            raise ValueError(f"interval ({a}, {b}] is not 0 <= a <= b <= {self.n_cells}")
+
     def cells(self) -> range:
         return range(1, self.n_cells + 1)
 
@@ -85,43 +89,6 @@ class Grid:
         if 1 << d != self.n_cells:
             raise ValueError(f"{self.n_cells} cells: not a power of two")
         return d
-
-
-@dataclass(frozen=True)
-class TimeSet:
-    """A union of whole grid cells, used as the index set of a sigma-field.
-
-    ``TimeSet.from_interval(g, a, b)`` is the half-open interval (a, b];
-    complements stay cell-aligned so conditional expectations reduce to
-    keeping kernels supported inside the set.
-    """
-
-    grid: Grid
-    cells: frozenset[int]
-
-    def __post_init__(self) -> None:
-        bad = [k for k in self.cells if not 1 <= k <= self.grid.n_cells]
-        if bad:
-            raise ValueError(f"cells {bad} out of range 1..{self.grid.n_cells}")
-
-    @classmethod
-    def from_interval(cls, grid: Grid, a: float, b: float) -> "TimeSet":
-        ia, ib = grid.boundary_index(a), grid.boundary_index(b)
-        if ia > ib:
-            raise ValueError(f"interval ({a}, {b}] is reversed")
-        return cls(grid, frozenset(range(ia + 1, ib + 1)))
-
-    @classmethod
-    def empty(cls, grid: Grid) -> "TimeSet":
-        return cls(grid, frozenset())
-
-    @classmethod
-    def outside_interval(cls, grid: Grid, a: float, b: float) -> "TimeSet":
-        """[0, a] union (b, 1] as cells: the complement of (a, b]."""
-        return cls.from_interval(grid, a, b).complement()
-
-    def complement(self) -> "TimeSet":
-        return TimeSet(self.grid, frozenset(self.grid.cells()) - self.cells)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ a multiset recovers Lebesgue integrals, e.g.
 
 where m_j are the multiplicities of mu.  The module implements the kernel
 algebra needed by the chaos calculus: symmetrized tensor products and
-contractions, projections onto cell sets, restriction by the number of
-variables below a threshold, time reversal, the cell maps of the
-Malliavin derivative and the Skorohod integral, and the read-off of the
-Duc-Nualart region kernels f_{l,q} of an integral process.
+contractions, projections that condition on the increments outside an
+interval, restriction by the number of variables below a boundary, time
+reversal, the cell maps of the Malliavin derivative and the Skorohod
+integral, and the read-off of the Duc-Nualart region kernels f_{l,q} of
+an integral process.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
@@ -39,7 +40,7 @@ from bisect import bisect_right
 from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .grid import Grid, TimeSet
+from .grid import Grid
 from .paths import StepFunction
 
 __all__ = [
@@ -324,25 +325,29 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> SymKernel:
     return SymKernel._built(f.grid, n, {rho: v * scale for rho, v in acc.items()})
 
 
-def project(f: SymKernel, ts: TimeSet) -> SymKernel:
-    """Keep multisets with every cell inside the set (kernel of E[. | F_A])."""
-    if ts.grid != f.grid:
-        raise ValueError("time set and kernel live on different grids")
-    inside = ts.cells
-    return SymKernel._built(f.grid, f.order, {mu: v for mu, v in f.data.items() if inside.issuperset(mu)})
+def project(f: SymKernel, a: int, b: int) -> SymKernel:
+    """Drop multisets with a cell in (a, b]: the kernel of E[. | increments outside (a, b]].
+
+    a and b are boundary indices, 0 <= a <= b <= n_cells.
+    """
+    f.grid.check_interval(a, b)
+    # equal counts at or before a and at or before b: no cell in (a, b]
+    return SymKernel._built(
+        f.grid, f.order, {mu: v for mu, v in f.data.items() if bisect_right(mu, a) == bisect_right(mu, b)}
+    )
 
 
-def restrict_below_count(f: SymKernel, q: int, t: float) -> SymKernel:
-    """Keep multisets with exactly q cells at or before the boundary t.
+def restrict_below_count(f: SymKernel, q: int, b: int) -> SymKernel:
+    """Keep multisets with exactly q cells at or before the boundary index b.
 
     This realizes multiplication by the indicator of the region where
-    exactly q coordinates sit below t; cells are never split because t is
-    a boundary, so multisets with a repeated cell can only contribute when
-    the whole repetition falls on one side.
+    exactly q coordinates sit below boundary b; cells are never split, so
+    multisets with a repeated cell can only contribute when the whole
+    repetition falls on one side.
     """
     if not 0 <= q <= f.order:
         raise ValueError(f"count {q} out of range 0..{f.order}")
-    b = f.grid.boundary_index(t)
+    f.grid.check_interval(0, b)
     return SymKernel._built(f.grid, f.order, {mu: v for mu, v in f.data.items() if bisect_right(mu, b) == q})
 
 

@@ -34,7 +34,7 @@ from .chaos import (
     hermite_values,
     malliavin_derivative,
 )
-from .grid import Grid, TimeSet
+from .grid import Grid
 from .kernels import reverse_kernel
 from .paths import PathBatch, StepFunction, isonormal_eval, reverse_batch
 from .skorohod import ChaosProcess
@@ -58,9 +58,7 @@ def reverse_functional(F: ChaosFunctional) -> ChaosFunctional:
 
 def tail_difference(F: ChaosFunctional, b: int) -> ChaosFunctional:
     """The difference representation at boundary b: F - E[F | cells after b]."""
-    grid = F.grid
-    tail = TimeSet.from_interval(grid, grid.boundary_value(b), 1.0)
-    return F.sub(conditional_expectation(F, tail))
+    return F.sub(conditional_expectation(F, 0, b))
 
 
 def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
@@ -77,8 +75,7 @@ def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
     for j in grid.cells():
         fwd_cell = n + 1 - j
         d = malliavin_derivative(F, fwd_cell)
-        known = TimeSet.from_interval(grid, grid.boundary_value(fwd_cell), 1.0)
-        cells.append(reverse_functional(conditional_expectation(d, known)))
+        cells.append(reverse_functional(conditional_expectation(d, 0, fwd_cell)))
     return ChaosProcess(grid, cells)
 
 

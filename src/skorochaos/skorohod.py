@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
-from .grid import Grid, Partition, TimeSet
+from .grid import Grid, Partition
 from .kernels import SymKernel, add_cell, move_cell, region_kernels, restrict_below_count
 from .paths import PathBatch
 
@@ -46,7 +46,6 @@ __all__ = [
     "martingale_defect",
     "ito_skorohod_integrand",
     "step_approximation",
-    "synthesis_eval",
     "projected_synthesis_process",
     "duality_gap",
     "EnergyReport",
@@ -185,9 +184,6 @@ class SkorohodProcess:
     def at_boundary(self, i: int) -> ChaosFunctional:
         return self.functionals[i]
 
-    def at_time(self, t: float) -> ChaosFunctional:
-        return self.functionals[self.grid.boundary_index(t)]
-
     def sub(self, other: "SkorohodProcess") -> "SkorohodProcess":
         if other.grid != self.grid:
             raise ValueError("processes live on different grids")
@@ -197,10 +193,6 @@ class SkorohodProcess:
     def eval_batch(self, batch: PathBatch) -> np.ndarray:
         """Pathwise values at every boundary, shape (count, n_cells + 1)."""
         return eval_many(self.functionals, batch).T
-
-    def increment_second_moment(self, s: float, t: float) -> float:
-        diff = self.at_time(t).sub(self.at_time(s))
-        return diff.second_moment()
 
     def __repr__(self) -> str:
         return f"SkorohodProcess(cells={self.grid.n_cells})"
@@ -244,8 +236,9 @@ def martingale_defect(Y: SkorohodProcess, s: float, t: float) -> float:
     Returns the largest absolute coefficient of the conditioned difference
     (its mean and all surviving kernel values).
     """
-    diff = Y.at_time(t).sub(Y.at_time(s))
-    cond = conditional_expectation(diff, TimeSet.outside_interval(Y.grid, s, t))
+    a, b = Y.grid.boundary_index(s), Y.grid.boundary_index(t)
+    diff = Y.at_boundary(b).sub(Y.at_boundary(a))
+    cond = conditional_expectation(diff, a, b)
     return cond.max_abs_diff(ChaosFunctional(Y.grid))
 
 
@@ -292,31 +285,11 @@ def step_approximation(v: ChaosProcess, partition: Partition) -> StepProcess:
     grid = v.grid
     values = []
     for lo, hi in partition.intervals():
-        outside = TimeSet.from_interval(grid, grid.boundary_value(lo), grid.boundary_value(hi)).complement()
         acc = ChaosFunctional(grid, 0.0, {})
         for c in range(lo + 1, hi + 1):
-            acc = acc.add(conditional_expectation(v.at_cell(c), outside))
+            acc = acc.add(conditional_expectation(v.at_cell(c), lo, hi))
         values.append(acc.scaled(1.0 / (hi - lo)))
     return StepProcess(grid, partition, tuple(values))
-
-
-def synthesis_eval(step: StepProcess, batch: PathBatch, t: float) -> np.ndarray:
-    """Pathwise integral of the step process over (0, t] as a product sum.
-
-    Because each value has no kernel support in its own interval, the
-    integral of F_i over the interval is exactly F_i times the increment,
-    so the whole curve is sum_i F_i (X_{t ^ t_{i+1}} - X_{t ^ t_i}).
-    """
-    grid = step.grid
-    b = grid.boundary_index(t)
-    vals = eval_many(step.values, batch)
-    bounds = batch.boundary_values()
-    out = np.zeros(batch.count)
-    for (lo, hi), fv in zip(step.partition.intervals(), vals):
-        a, z = min(lo, b), min(hi, b)
-        if z > a:
-            out += fv * (bounds[:, z] - bounds[:, a])
-    return out
 
 
 def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
@@ -346,10 +319,7 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
             if lo >= b:
                 continue
             z = min(hi, b)
-            window = TimeSet.from_interval(
-                grid, grid.boundary_value(lo), grid.boundary_value(max(hi, b))
-            )
-            coef = conditional_expectation(F, window.complement())
+            coef = conditional_expectation(F, lo, max(hi, b))
             inc = first_order(
                 StepFunction.indicator(grid, grid.boundary_value(lo), grid.boundary_value(z))
             )
@@ -375,7 +345,6 @@ class EnergyReport:
     """Largest summed squared increment energy over the dyadic partitions."""
 
     value: float
-    best_depth: int
     by_depth: tuple[tuple[int, float], ...]
 
 
@@ -393,8 +362,7 @@ def max_increment_energy(Y: SkorohodProcess) -> EnergyReport:
             for lo, hi in part.intervals()
         )
         rows.append((depth, energy))
-    best_depth, value = max(rows, key=lambda r: r[1])
-    return EnergyReport(value, best_depth, tuple(rows))
+    return EnergyReport(max(energy for _, energy in rows), tuple(rows))
 
 
 def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess | None = None) -> dict[tuple[int, int], SymKernel]:
@@ -423,14 +391,13 @@ def resynthesize(grid: Grid, kernels: dict[tuple[int, int], SymKernel]) -> Skoro
     orders = sorted({l for l, _ in kernels})
     snapshots = []
     for b in range(grid.n_cells + 1):
-        t = grid.boundary_value(b)
         ks: dict[int, SymKernel] = {}
         for l in orders:
             # the count below t picks one q for each multiset, so the pieces are disjoint
             ks[l] = SymKernel.zero(grid, l)
             for q in range(0, l + 1):
                 if (l, q) in kernels:
-                    ks[l] = ks[l].add(restrict_below_count(kernels[l, q], q, t))
+                    ks[l] = ks[l].add(restrict_below_count(kernels[l, q], q, b))
         snapshots.append(ChaosFunctional(grid, 0.0, ks))
     return SkorohodProcess(grid, snapshots)
 

@@ -29,12 +29,10 @@ from .skorohod import SkorohodProcess, StepProcess, skorohod_process
 
 __all__ = [
     "GridStoppingTime",
-    "eval_stopping_time",
     "SamplingRow",
     "optional_sampling_check",
     "StoppedIntegralReport",
     "stopped_integral",
-    "second_moment_curve",
 ]
 
 
@@ -92,11 +90,6 @@ class GridStoppingTime:
         hit = cond.any(axis=1)
         first = np.argmax(cond, axis=1) + 1
         return np.where(hit, first, n).astype(np.int64)
-
-
-def eval_stopping_time(T: GridStoppingTime, batch: PathBatch) -> np.ndarray:
-    """Stopping values in time units, shape (count,)."""
-    return T.eval(batch) * batch.grid.delta
 
 
 @dataclass(frozen=True)
@@ -189,12 +182,3 @@ def stopped_integral(
         out.append(StoppedIntegralReport(lhs, curve[rows, t_idx]))
     return out
 
-
-def second_moment_curve(Y: SkorohodProcess) -> np.ndarray:
-    """Exact E[Y_t^2] at every boundary, for the boundedness surrogate.
-
-    The running maximum of this curve is dominated by the two-sided
-    variation estimate, which is the discrete form of the uniform
-    integrability bound used to justify optional sampling.
-    """
-    return np.array([Y.at_boundary(b).second_moment() for b in range(Y.grid.n_cells + 1)])

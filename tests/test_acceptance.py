@@ -21,7 +21,6 @@ from skorochaos import (
     Partition,
     PhiSpec,
     StepFunction,
-    TimeSet,
     backward_ito_eval,
     brownian_path_process,
     brownian_terminal_process,
@@ -122,9 +121,8 @@ def test_criterion_06_reversed_representations():
         Fh = reverse_functional(F)
         for b in (0, 4, 8):
             lhs = eval_functional(reverse_functional(tail_difference(F, b)), rev)
-            head = TimeSet.from_interval(grid, 0.0, grid.boundary_value(8 - b))
             rhs = eval_functional(Fh, rev) - eval_functional(
-                conditional_expectation(Fh, head), rev
+                conditional_expectation(Fh, 8 - b, 8), rev
             )
             assert float(np.max(np.abs(lhs - rhs))) <= PATHWISE
         hl, hr = hermite_projection(n, one, 0.5, batch)

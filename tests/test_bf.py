@@ -8,7 +8,6 @@ from skorochaos import (
     ChaosFunctional,
     Partition,
     StepFunction,
-    TimeSet,
     brownian_path_process,
     brownian_terminal_process,
     conditional_expectation,
@@ -86,8 +85,7 @@ def test_forward_factor_is_a_martingale(grid8):
     for b2 in range(grid8.n_cells + 1):
         later = s.forward_martingale(b2)
         for b1 in range(b2 + 1):
-            window = TimeSet.from_interval(grid8, 0.0, grid8.boundary_value(b1))
-            proj = conditional_expectation(later, window)
+            proj = conditional_expectation(later, b1, grid8.n_cells)
             assert proj.max_abs_diff(s.forward_martingale(b1)) <= 1e-12
 
 
@@ -98,9 +96,7 @@ def test_backward_factor_is_a_reverse_martingale(grid8):
     for b1 in range(grid8.n_cells + 1):
         early = s.backward_martingale(b1)
         for b2 in range(b1, grid8.n_cells + 1):
-            start = max(b2, s.hi)
-            tail = TimeSet.from_interval(grid8, grid8.boundary_value(start), 1.0)
-            proj = conditional_expectation(early, tail)
+            proj = conditional_expectation(early, 0, max(b2, s.hi))
             assert proj.max_abs_diff(s.backward_martingale(b2)) <= 1e-12
 
 

@@ -25,7 +25,7 @@ from skorochaos.chaos import (
     malliavin_derivative,
     multiply,
 )
-from skorochaos.grid import Grid, TimeSet
+from skorochaos.grid import Grid
 from skorochaos.kernels import SymKernel, from_step, tensor_power
 from skorochaos.paths import PathBatch, StepFunction, isonormal_eval, sample_paths
 
@@ -149,21 +149,19 @@ def test_derivative_drops_order(grid8):
 def test_conditional_expectation_tower(grid8):
     h = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 1.5, {2: tensor_power(h, 2)})
-    coarse = TimeSet.from_interval(grid8, 0.0, 0.25)
-    fine = TimeSet.from_interval(grid8, 0.0, 0.5)
-    a = conditional_expectation(conditional_expectation(F, fine), coarse)
-    b = conditional_expectation(F, coarse)
+    # knowing cells 1..2 is coarser than knowing cells 1..4
+    a = conditional_expectation(conditional_expectation(F, 4, 8), 2, 8)
+    b = conditional_expectation(F, 2, 8)
     assert a.max_abs_diff(b) == 0.0
-    assert conditional_expectation(F, TimeSet.empty(grid8)).expectation() == F.expectation()
+    assert conditional_expectation(F, 0, 8).expectation() == F.expectation()
 
 
 def test_conditional_expectation_is_projection(grid8, batch8):
     # E[F | A] times any A-measurable first-order G has the same mean as F G
     h = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
-    ts = TimeSet.from_interval(grid8, 0.0, 0.5)
     G = first_order(StepFunction.indicator(grid8, 0.0, 0.5))
-    proj = conditional_expectation(F, ts)
+    proj = conditional_expectation(F, 4, 8)
     assert proj.product_expectation(G) == pytest.approx(F.product_expectation(G), abs=1e-14)
 
 
@@ -208,7 +206,6 @@ def test_covariance_is_symmetric_bilinear(F, G):
 @settings(max_examples=50, deadline=None)
 @given(F=small_functional())
 def test_projection_contracts_variance(F):
-    ts = TimeSet.from_interval(GRID, 0.0, 0.5)
-    proj = conditional_expectation(F, ts)
+    proj = conditional_expectation(F, 2, 4)
     assert proj.variance() <= F.variance() + 1e-12
     assert proj.expectation() == pytest.approx(F.expectation(), abs=1e-12)

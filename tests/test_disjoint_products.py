@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorochaos.chaos import ChaosFunctional, multiply
-from skorochaos.grid import Grid, TimeSet
-from skorochaos.kernels import SymKernel, contract, disjoint_tensor_product, project, sym_tensor_product
+from skorochaos.grid import Grid
+from skorochaos.kernels import SymKernel, contract, disjoint_tensor_product, sym_tensor_product
 
 # tiny values make some products underflow to zero, which every path must drop
 VALUES = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from([1e-170, -1e-170, 5e-324])
@@ -122,13 +122,14 @@ def test_disjoint_tensor_product_is_sym_tensor_product(data):
     grid = Grid(data.draw(st.integers(1, 8)))
     p = data.draw(st.integers(1, 3))
     q = data.draw(st.integers(1, 5 - p))
-    inside = TimeSet(grid, frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells))))
+    inside = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
 
-    def kernel(n, ts):
+    def kernel(n, cells):
         multisets = st.lists(st.integers(1, grid.n_cells), min_size=n, max_size=n).map(lambda xs: tuple(sorted(xs)))
-        return project(SymKernel(grid, n, data.draw(st.dictionaries(multisets, VALUES, max_size=6))), ts)
+        drawn = data.draw(st.dictionaries(multisets, VALUES, max_size=6))
+        return SymKernel(grid, n, {mu: v for mu, v in drawn.items() if cells.issuperset(mu)})
 
-    f, g = kernel(p, inside), kernel(q, inside.complement())
+    f, g = kernel(p, inside), kernel(q, frozenset(grid.cells()) - inside)
     assert list(disjoint_tensor_product(f, g).items()) == list(sym_tensor_product(f, g).items())
 
 

@@ -200,6 +200,21 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     assert not dest.exists()
 
 
+def test_cli_opens_out_before_the_run(monkeypatch, tmp_path, capsys):
+    from skorochaos import experiments as exp
+
+    def never(cfg):
+        pytest.fail("the experiment ran before --out was opened")
+
+    monkeypatch.setitem(exp.EXPERIMENTS, "martingale", never)
+    assert main(["martingale", "--N", "8", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    # an invalid config fails before --out is opened, so it creates no file
+    dest = tmp_path / "x.csv"
+    assert main(["martingale", "--N", "7", "--out", str(dest)]) == 2
+    assert not dest.exists()
+
+
 def test_cli_reports_failures(monkeypatch, capsys):
     from skorochaos import experiments as exp
 

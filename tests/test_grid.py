@@ -1,4 +1,4 @@
-"""Grid indexing, time sets, partitions, and the count-region tiling."""
+"""Grid indexing, partitions, and the count-region tiling."""
 
 import math
 
@@ -11,7 +11,6 @@ from skorochaos.grid import (
     GenericityError,
     Partition,
     Selection,
-    TimeSet,
     all_selections,
     exact_below_count,
     in_selection_region_at,
@@ -34,14 +33,6 @@ def test_off_grid_time_rejected(grid8):
 def test_non_finite_time_rejected(grid8, t):
     with pytest.raises(ValueError, match="not finite"):
         grid8.boundary_index(t)
-
-
-def test_timeset_interval_and_complement(grid8):
-    ts = TimeSet.from_interval(grid8, 0.25, 0.75)
-    assert ts.cells == frozenset({3, 4, 5, 6})
-    comp = ts.complement()
-    assert comp.cells == frozenset({1, 2, 7, 8})
-    assert ts.complement().complement() == ts
 
 
 def test_partition_dyadic_family(grid16):

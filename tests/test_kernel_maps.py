@@ -5,7 +5,9 @@ builders that edited ``SymKernel.data`` directly, before the multiset
 arithmetic moved into ``skorochaos.kernels`` as kernel maps.  They build
 every result through the public ``SymKernel`` constructor, which checks
 each multiset; the library must agree with them exactly, in values and
-in the order of the stored multisets.
+in the order of the stored multisets.  ``oracle_project`` is the rule
+``project`` followed when it took a set of cells to keep: a multiset
+stays when every cell lies in the complement of (a, b].
 
 The maps build their results through a private constructor that does not
 re-check the multisets and takes over the dict it is handed, so the
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from skorochaos.chaos import ChaosFunctional, malliavin_derivative
 from skorochaos.experiments import _ducnualart_integrand
-from skorochaos.grid import Grid, TimeSet
+from skorochaos.grid import Grid
 from skorochaos.kernels import (
     SymKernel,
     add_cell,
@@ -252,6 +254,19 @@ def test_skorohod_integral_is_the_process_at_its_boundary(u):
         assert plain(F) == plain(Y.at_boundary(b))
 
 
+def oracle_project(f, a, b):
+    return {mu: v for mu, v in f.data.items() if all(not a < c <= b for c in mu)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_project_matches_cell_set_rule(data):
+    grid = Grid(data.draw(st.integers(1, 8)))
+    f = data.draw(kernels(grid, data.draw(st.integers(1, 4))))
+    a, b = sorted(data.draw(st.lists(st.integers(0, grid.n_cells), min_size=2, max_size=2)))
+    assert list(project(f, a, b).items()) == list(oracle_project(f, a, b).items())
+
+
 def assert_well_formed(f, grid, order):
     assert f.grid == grid and f.order == order
     for mu, v in f.items():
@@ -277,8 +292,7 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
     p, q = f.order, g.order
     h = data.draw(kernels(grid, p))
     step = StepFunction(grid, data.draw(st.lists(VALUES, min_size=grid.n_cells, max_size=grid.n_cells)))
-    cells = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
-    t = grid.boundary_value(data.draw(st.integers(0, grid.n_cells)))
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, grid.n_cells), min_size=2, max_size=2)))
     outputs = [
         (f.scaled(c), p),
         (f.scaled(c_int), p),
@@ -287,7 +301,7 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         (f.sub(h), p),
         (f.add(f.scaled(-1.0)), p),
         (sym_tensor_product(f, g), p + q),
-        (project(f, TimeSet(grid, cells)), p),
+        (project(f, lo, hi), p),
         (reverse_kernel(f), p),
         (add_cell(f, a), p + 1),
         (move_cell(f, a, b, 0.5), p),
@@ -301,7 +315,7 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         (constant_kernel(grid, p, c_int), p),
         (constant_kernel(grid, p, np.float64(c)), p),
     ]
-    outputs += [(restrict_below_count(f, k, t), p) for k in range(p + 1)]
+    outputs += [(restrict_below_count(f, k, hi), p) for k in range(p + 1)]
     outputs += [(contract(f, g, r), p + q - 2 * r) for r in range(1, min(p, q) + 1) if p + q > 2 * r]
     if p > 1:
         outputs.append((remove_cell(f, a), p - 1))

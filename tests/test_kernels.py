@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skorochaos.grid import Grid, TimeSet
+from skorochaos.chaos import ChaosFunctional, conditional_expectation
+from skorochaos.grid import Grid
 from skorochaos.kernels import (
     MAX_ORDER,
     SymKernel,
@@ -134,15 +135,14 @@ def test_full_contraction_refused():
 
 
 def test_project_keeps_inside_multisets():
-    ts = TimeSet.from_interval(GRID4, 0.0, 0.5)   # cells {1, 2}
-    p = project(kernel_a(), ts)
+    p = project(kernel_a(), 2, 4)   # drops multisets with a cell in (2, 4]
     assert set(p.data) == {(1, 1)}
     assert p.value((1, 1)) == 0.5
 
 
 def test_restrict_below_count():
     f = constant_kernel(GRID4, 2, 1.0)
-    r = restrict_below_count(f, 1, 0.5)   # exactly one cell at or before cell 2
+    r = restrict_below_count(f, 1, 2)   # exactly one cell at or before cell 2
     assert all(sum(1 for c in mu if c <= 2) == 1 for mu in r.data)
     assert (1, 3) in r.data and (1, 2) not in r.data
 
@@ -183,6 +183,12 @@ def test_validation_errors():
         region_kernels(GRID4, 1, [], [1.0] * 3)
     with pytest.raises(ValueError):
         region_kernels(GRID4, 0, [], [1.0] * 4)      # order range
+    empty = ChaosFunctional(GRID4)                    # no kernels to reach project
+    for a, b in ((3, 2), (0, 5), (-1, 2)):           # a > b, b > N, a < 0
+        with pytest.raises(ValueError, match="interval"):
+            project(kernel_a(), a, b)
+        with pytest.raises(ValueError, match="interval"):
+            conditional_expectation(empty, a, b)
 
 
 def sorted_multiset(order):

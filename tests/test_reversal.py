@@ -8,7 +8,6 @@ from skorochaos import (
     ChaosProcess,
     PhiSpec,
     StepFunction,
-    TimeSet,
     backward_ito_eval,
     clark_ocone_integrand,
     conditional_expectation,
@@ -71,8 +70,7 @@ def test_reversed_value_projects_on_reversed_past(grid8):
     Fr = reverse_functional(F)
     n = grid8.n_cells
     for b in range(n + 1):
-        head = TimeSet.from_interval(grid8, 0.0, grid8.boundary_value(n - b))
-        want = Fr.sub(conditional_expectation(Fr, head))
+        want = Fr.sub(conditional_expectation(Fr, n - b, n))
         assert reverse_functional(tail_difference(F, b)).max_abs_diff(want) <= 1e-13
 
 

@@ -13,6 +13,14 @@ def _load(name):
     return module
 
 
+def test_run_all_experiments_writes_one_table_per_experiment(tmp_path, capsys):
+    run_all = _load("run_all_experiments")
+    assert run_all.main(["--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in run_all.PINNED)
+    for name in run_all.PINNED:
+        assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8").startswith(f"# experiment={name}\n")
+
+
 def test_convergence_study_prints_both_tables(capsys):
     study = _load("convergence_study")
     assert study.main(["--paths", "200"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skorochaos.chaos import (
     ChaosFunctional,
+    conditional_expectation,
     constant_functional,
     eval_functional,
     first_order,
@@ -30,8 +31,8 @@ from skorochaos.skorohod import (
     resynthesize,
     skorohod_process,
     step_approximation,
-    synthesis_eval,
 )
+from skorochaos.stopping import GridStoppingTime, stopped_integral
 
 
 def terminal_plus_path(grid):
@@ -55,12 +56,13 @@ def test_terminal_integrand_closed_form(grid8, batch8):
         np.testing.assert_allclose(got, bv[:, -1] * bv[:, b] - t, atol=1e-12)
 
 
-def test_increment_second_moment_closed_form(grid8):
+def test_increment_energy_closed_form(grid8):
     # for u = X_1: E[(Y_t - Y_s)^2] = (t - s) + (t - s)^2
     Y = skorohod_process(brownian_terminal_process(grid8))
     for s, t in [(0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (0.0, 1.0)]:
         want = (t - s) + (t - s) ** 2
-        assert Y.increment_second_moment(s, t) == pytest.approx(want, rel=1e-12)
+        diff = Y.at_boundary(grid8.boundary_index(t)).sub(Y.at_boundary(grid8.boundary_index(s)))
+        assert diff.second_moment() == pytest.approx(want, rel=1e-12)
 
 
 def test_martingale_defect_zero_for_family(grid16):
@@ -112,6 +114,11 @@ def test_step_approximation_projects_out_interval(grid8):
             assert all(not (lo < c <= hi) for mu in f.data for c in mu)
 
 
+def product_sum(step, batch, t):
+    """sum_i F_i (X_{t ^ t_{i+1}} - X_{t ^ t_i}), pathwise."""
+    return stopped_integral(step, [GridStoppingTime.deterministic(step.grid, t)], batch)[0].lhs
+
+
 def test_product_sum_synthesis_equals_direct_integral(grid8, batch8):
     # coefficients carry no kernel support inside their own interval, so
     # the trace term vanishes and the product sum is the Skorohod curve
@@ -121,7 +128,7 @@ def test_product_sum_synthesis_equals_direct_integral(grid8, batch8):
     for b in (0, 2, 4, 8):
         t = grid8.boundary_value(b)
         np.testing.assert_allclose(
-            curve[:, b], synthesis_eval(step, batch8, t), atol=1e-12
+            curve[:, b], product_sum(step, batch8, t), atol=1e-12
         )
 
 
@@ -134,9 +141,9 @@ def test_projected_synthesis_reprojects_past_interval_ends(grid8, batch8):
     Z = projected_synthesis_process(step)
     curve = Z.eval_batch(batch8)
     np.testing.assert_allclose(
-        curve[:, 4], synthesis_eval(step, batch8, 0.5), atol=1e-12
+        curve[:, 4], product_sum(step, batch8, 0.5), atol=1e-12
     )
-    gap = np.abs(curve[:, 8] - synthesis_eval(step, batch8, 1.0))
+    gap = np.abs(curve[:, 8] - product_sum(step, batch8, 1.0))
     assert gap.max() > 1e-3
 
 
@@ -220,18 +227,11 @@ def test_integral_of_random_step_is_defect_free(data):
         grid,
         part,
         (
-            conditional_off(vals[0], grid, 0.0, 0.25),
-            conditional_off(vals[1], grid, 0.25, 0.75),
-            conditional_off(vals[2], grid, 0.75, 1.0),
+            conditional_expectation(vals[0], 0, 2),
+            conditional_expectation(vals[1], 2, 6),
+            conditional_expectation(vals[2], 6, 8),
         ),
     )
     Y = skorohod_process(step.as_process())
     for s, t in [(0.0, 0.5), (0.25, 1.0), (0.5, 0.75)]:
         assert martingale_defect(Y, s, t) <= 1e-12
-
-
-def conditional_off(F, grid, a, b):
-    from skorochaos.chaos import conditional_expectation
-    from skorochaos.grid import TimeSet
-
-    return conditional_expectation(F, TimeSet.from_interval(grid, a, b).complement())

@@ -13,12 +13,10 @@ from skorochaos import (
     SamplingRow,
     brownian_path_process,
     brownian_terminal_process,
-    eval_stopping_time,
     ito_skorohod_integrand,
     max_increment_energy,
     optional_sampling_check,
     sample_paths,
-    second_moment_curve,
     skorohod_process,
     step_approximation,
     stopped_integral,
@@ -28,7 +26,7 @@ from skorochaos import (
 def test_deterministic_rule(grid8, batch8):
     S = GridStoppingTime.deterministic(grid8, 0.5)
     assert np.all(S.eval(batch8) == 4)
-    np.testing.assert_allclose(eval_stopping_time(S, batch8), 0.5)
+    np.testing.assert_allclose(S.eval(batch8) * grid8.delta, 0.5)
     with pytest.raises(ValueError):
         GridStoppingTime.deterministic(grid8, 0.3)
 
@@ -42,7 +40,7 @@ def test_level_hitting_convention(grid8):
     # a path that never reaches the level stops at time 1
     low = PathBatch(grid8, 0, -np.abs(inc))
     assert S.eval(low).tolist() == [grid8.n_cells]
-    assert eval_stopping_time(S, low).tolist() == [1.0]
+    assert (S.eval(low) * grid8.delta).tolist() == [1.0]
 
 
 def test_first_exit_convention(grid8):
@@ -119,12 +117,12 @@ def test_optional_sampling_rejects_unordered_times(grid8, batch8):
         optional_sampling_check(Y, S, T, batch8)
 
 
-def test_second_moment_curve_bounded_by_energy(grid16):
+def test_boundary_second_moments_bounded_by_energy(grid16):
     for u in (
         brownian_terminal_process(grid16),
         brownian_terminal_process(grid16).add(brownian_path_process(grid16)),
     ):
         Y = skorohod_process(u)
-        curve = second_moment_curve(Y)
+        curve = np.array([Y.at_boundary(b).second_moment() for b in range(grid16.n_cells + 1)])
         assert curve[0] == 0.0
         assert float(curve.max()) <= max_increment_energy(Y).value + 1e-12
