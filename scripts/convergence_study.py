@@ -62,7 +62,7 @@ def reversed_table(paths: int, seed: int) -> None:
         if N <= 32:
             F = quadratic_functional(grid)
             y = eval_functional(tail_difference(F, b), batch)
-            s = backward_ito_eval(clark_ocone_integrand(F), batch, t)
+            s = backward_ito_eval(clark_ocone_integrand(F), batch, b)
             mse = f"{float(np.mean((y - s) ** 2)):12.6f}"
         else:
             mse = f"{'':>12}"
@@ -70,7 +70,7 @@ def reversed_table(paths: int, seed: int) -> None:
         spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
         bv = batch.boundary_values()
         exact_y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - t
-        residual = semimartingale_decomposition_check(spec, exact_y, batch, t)
+        residual = semimartingale_decomposition_check(spec, exact_y, batch, b)
         rms = float(np.sqrt(np.mean(residual**2)))
         print(f"{N:>4} {mse} {rms:12.6f}")
 

@@ -76,11 +76,7 @@ class BFSummand:
         z = min(b, self.hi)
         if z <= self.lo:
             return ChaosFunctional(self.grid, 0.0, {})
-        inc = first_order(
-            StepFunction.indicator(
-                self.grid, self.grid.boundary_value(self.lo), self.grid.boundary_value(z)
-            )
-        )
+        inc = first_order(StepFunction.indicator(self.grid, self.lo, z))
         return multiply(self.forward, inc)
 
     def backward_martingale(self, b: int) -> ChaosFunctional:

@@ -89,9 +89,6 @@ class ChaosFunctional:
         """The cells that some kernel of the functional touches."""
         return set().union(*(f.cells() for f in self.kernels.values()))
 
-    def expectation(self) -> float:
-        return self.mean
-
     def covariance(self, other: "ChaosFunctional") -> float:
         self._check(other)
         return sum(

@@ -261,14 +261,14 @@ def _integrand_family(grid: Grid) -> list[tuple[str, ChaosProcess]]:
 def _run_martingale(cfg: ExperimentConfig) -> ExperimentResult:
     res = _new_result(cfg)
     grid = Grid(cfg.N)
-    bounds = [grid.boundary_value(b) for b in range(grid.n_cells + 1)]
+    n = grid.n_cells
     for name, u in _integrand_family(grid):
         Y = skorohod_process(u)
         worst = 0.0
         pairs = 0
-        for i, s in enumerate(bounds):
-            for t in bounds[i + 1 :]:
-                worst = max(worst, martingale_defect(Y, s, t))
+        for a in range(n + 1):
+            for b in range(a + 1, n + 1):
+                worst = max(worst, martingale_defect(Y, a, b))
                 pairs += 1
         res.rows.append((name, pairs, worst))
         if worst > _EXACT:
@@ -362,7 +362,7 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
             if worst > _PATHWISE:
                 res.failures.append(f"reversal: projection identity residual {worst:.3e} at n={k}")
 
-            hl, hr = hermite_projection(k, one, cfg.t, batch)
+            hl, hr = hermite_projection(k, one, b, batch)
             hres = float(np.max(np.abs(hl - hr))) if hr is not None else 0.0
             res.rows.append((cfg.N, cfg.t, f"hermite_max_residual_n{k}", hres, 0.0))
             if hres > _PATHWISE:
@@ -370,7 +370,7 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
 
         F2 = ChaosFunctional(grid, 0.0, {2: tensor_power(one, 2)})
         y = eval_functional(tail_difference(F2, b), batch)
-        s = backward_ito_eval(clark_ocone_integrand(F2), batch, cfg.t)
+        s = backward_ito_eval(clark_ocone_integrand(F2), batch, b)
         gap_sq = (y - s) ** 2
         mse = float(np.mean(gap_sq))
         mse_se = float(np.std(gap_sq, ddof=1) / np.sqrt(cfg.paths))
@@ -379,7 +379,7 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
     spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
     bv = batch.boundary_values()
     y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - cfg.t
-    residual = semimartingale_decomposition_check(spec, y, batch, cfg.t)
+    residual = semimartingale_decomposition_check(spec, y, batch, b)
     msq = float(np.mean(residual**2))
     msq_se = float(np.std(residual**2, ddof=1) / np.sqrt(cfg.paths))
     rms = math.sqrt(msq)

@@ -5,7 +5,10 @@ Everything in this package lives on a uniform grid of ``n`` half-open cells
     cell k = ((k - 1) * delta, k * delta],   k = 1..n,   delta = 1/n.
 
 Cell indices are 1-based; boundary indices run 0..n with boundary i at
-``i * delta``.  Times passed as floats must sit on a boundary.
+``i * delta``.  Every time argument below the command line is a boundary
+index; ``Grid.boundary_index`` turns a grid-aligned float time into one
+where a config value holds it, and ``Grid.check_interval`` is the one
+check that an index pair is integral and in range.
 
 The second half of the module implements the region combinatorics used by
 the finite-chaos representation of Skorohod integral processes: for a point
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -76,6 +80,8 @@ class Grid:
 
     def check_interval(self, a: int, b: int) -> None:
         """Raise unless (a, b] is an interval of boundary indices, 0 <= a <= b <= n."""
+        if any(isinstance(i, bool) or not isinstance(i, Integral) for i in (a, b)):
+            raise ValueError(f"interval ({a!r}, {b!r}] needs integer boundary indices")
         if not 0 <= a <= b <= self.n_cells:
             raise ValueError(f"interval ({a}, {b}] is not 0 <= a <= b <= {self.n_cells}")
 

@@ -76,11 +76,11 @@ class StepFunction:
         return cls(grid, np.full(grid.n_cells, float(c)))
 
     @classmethod
-    def indicator(cls, grid: Grid, a: float, b: float) -> "StepFunction":
-        """Indicator of the half-open interval (a, b]."""
+    def indicator(cls, grid: Grid, a: int, b: int) -> "StepFunction":
+        """Indicator of the cells in (a, b], for boundary indices a <= b."""
+        grid.check_interval(a, b)
         mask = np.zeros(grid.n_cells)
-        ia, ib = grid.boundary_index(a), grid.boundary_index(b)
-        mask[ia:ib] = 1.0
+        mask[a:b] = 1.0
         return cls(grid, mask)
 
     def scaled(self, c: float) -> "StepFunction":
@@ -93,18 +93,6 @@ class StepFunction:
     def multiply(self, other: "StepFunction") -> "StepFunction":
         self._check(other)
         return StepFunction(self.grid, self.values * other.values)
-
-    def tail(self, t: float) -> "StepFunction":
-        """Restriction to (t, 1]."""
-        return self.multiply(StepFunction.indicator(self.grid, t, 1.0))
-
-    def head(self, t: float) -> "StepFunction":
-        """Restriction to (0, t]."""
-        return self.multiply(StepFunction.indicator(self.grid, 0.0, t))
-
-    def reversed(self) -> "StepFunction":
-        """f(1 - x): cell k picks up the value of cell n + 1 - k."""
-        return StepFunction(self.grid, self.values[::-1])
 
     def inner(self, other: "StepFunction") -> float:
         self._check(other)
@@ -147,11 +135,6 @@ class PathBatch:
         out = np.zeros((self.count, self.grid.n_cells + 1))
         np.cumsum(self.increments, axis=1, out=out[:, 1:])
         return out
-
-    def take(self, count: int) -> "PathBatch":
-        if count > self.count:
-            raise ValueError(f"batch holds {self.count} paths, asked for {count}")
-        return PathBatch(self.grid, self.seed, self.increments[:count])
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)

@@ -79,15 +79,16 @@ def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
     return ChaosProcess(grid, cells)
 
 
-def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, t: float) -> np.ndarray:
-    """Discrete predictable sum over reversed cells in (1 - t, 1].
+def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, b: int) -> np.ndarray:
+    """Discrete predictable sum over reversed cells in (n - b, n], b a boundary index.
 
     phi must be written in reversed coordinates and adapted: the value at
     reversed cell j may only depend on reversed increments before j.
     """
     grid = phi.grid
+    grid.check_interval(0, b)
     n = grid.n_cells
-    start = grid.boundary_index(1.0 - t)
+    start = n - b
     for j in range(start + 1, n + 1):
         if any(c >= j for c in phi.at_cell(j).cells()):
             raise ValueError(f"integrand at reversed cell {j} is not predictable")
@@ -103,20 +104,21 @@ def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, t: float) -> np.ndarr
 
 
 def hermite_projection(
-    n: int, h: StepFunction, t: float, batch: PathBatch
+    n: int, h: StepFunction, b: int, batch: PathBatch
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Both sides of the closed tail-projection identity for I_n(h^(x)n).
 
-    lhs is the pathwise kernel-side difference representation at t; rhs is
-    n! (He_n(X(h)) - ||h 1_(t,1]||^n He_n(X(h tail)/||h tail||)), exact for
-    unit h.  When the tail norm vanishes the closed form degenerates and
-    None is returned for rhs.
+    lhs is the pathwise kernel-side difference representation at boundary
+    index b; rhs is n! (He_n(X(h)) - ||h tail||^n He_n(X(h tail)/||h
+    tail||)) with h tail = h 1_(t_b,1], exact for unit h.  When the tail
+    norm vanishes the closed form degenerates and None is returned for rhs.
     """
     if abs(h.norm() - 1.0) > 1e-12:
         raise ValueError("the closed form needs a unit-norm step function")
+    grid = h.grid
+    tail = h.multiply(StepFunction.indicator(grid, b, grid.n_cells))
     F = hermite_functional(h, n)
-    lhs = eval_functional(tail_difference(F, h.grid.boundary_index(t)), batch)
-    tail = h.tail(t)
+    lhs = eval_functional(tail_difference(F, b), batch)
     tau = tail.norm()
     if tau == 0.0:
         return lhs, None
@@ -172,21 +174,22 @@ class PhiSpec:
 
 
 def semimartingale_decomposition_check(
-    spec: PhiSpec, y: np.ndarray, batch: PathBatch, t: float
+    spec: PhiSpec, y: np.ndarray, batch: PathBatch, b: int
 ) -> np.ndarray:
-    """Residual of y_t, sampled on batch, against its forward sum and brackets.
+    """Residual of y_t at t = t_b, sampled on batch, against its forward sum and brackets.
 
     The decomposition reads y_t = (forward sum of the reversed integrand)
     - bracket at 1 + bracket at 1 - t, with the bracket taken between the
-    integrand samples and the reversed path.  The forward sum pairs the
-    increment of forward cell k with the integrand sampled at reversed
-    boundary n + 1 - k (the left endpoint in forward time).  The residual
-    y - (sum - b_1 + b_{1-t}) collects pure quadratic-variation noise and
-    vanishes in probability as the grid refines.
+    integrand samples and the reversed path; 1 - t is reversed boundary
+    n - b.  The forward sum pairs the increment of forward cell k with the
+    integrand sampled at reversed boundary n + 1 - k (the left endpoint in
+    forward time).  The residual y - (sum - b_1 + b_{1-t}) collects pure
+    quadratic-variation noise and vanishes in probability as the grid
+    refines.
     """
     grid = batch.grid
+    grid.check_interval(0, b)
     n = grid.n_cells
-    b = grid.boundary_index(t)
     rev = reverse_batch(batch)
     Q = spec.sample_boundaries(rev)
     y = np.asarray(y, dtype=np.float64)
@@ -198,6 +201,5 @@ def semimartingale_decomposition_check(
     dq = np.diff(Q, axis=1)
     prods = dq * rev.increments
     bracket_full = np.sum(prods, axis=1)
-    tail_b = grid.boundary_index(1.0 - t)
-    bracket_tail = np.sum(prods[:, :tail_b], axis=1)
+    bracket_tail = np.sum(prods[:, : n - b], axis=1)
     return y - (ito - bracket_full + bracket_tail)

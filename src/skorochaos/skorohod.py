@@ -1,11 +1,11 @@
 """Skorohod integrals of chaos-valued integrands, exactly, on the cell grid.
 
 An integrand is a process u that is constant on each grid cell with chaos
-values; its Skorohod integral over (0, t] for a boundary t is another
-finite chaos functional, obtained by symmetrizing one extra variable into
-each kernel:
+values; its Skorohod integral over (0, t_b] for a boundary index b is
+another finite chaos functional, obtained by symmetrizing one extra
+variable into each kernel:
 
-    K_l(t)(mu) = (1/l) * sum over positions i with cell mu_i <= tN of
+    K_l(b)(mu) = (1/l) * sum over positions i with cell mu_i <= b of
                  g_{l-1}(mu without mu_i ; mu_i),
 
 plus a first-order term from the deterministic part of u.  On a finite
@@ -76,6 +76,8 @@ class ChaosProcess:
         return cls(grid, [F] * grid.n_cells)
 
     def at_cell(self, k: int) -> ChaosFunctional:
+        if not 1 <= k <= self.grid.n_cells:
+            raise ValueError(f"cell {k} out of range 1..{self.grid.n_cells}")
         return self.functionals[k - 1]
 
     def add(self, other: "ChaosProcess") -> "ChaosProcess":
@@ -182,6 +184,8 @@ class SkorohodProcess:
         self.functionals = functionals
 
     def at_boundary(self, i: int) -> ChaosFunctional:
+        if not 0 <= i <= self.grid.n_cells:
+            raise ValueError(f"boundary index {i} out of range 0..{self.grid.n_cells}")
         return self.functionals[i]
 
     def sub(self, other: "SkorohodProcess") -> "SkorohodProcess":
@@ -225,18 +229,20 @@ def skorohod_process(u: ChaosProcess) -> SkorohodProcess:
     return SkorohodProcess(u.grid, _partial_integrals(u, u.grid.n_cells))
 
 
-def skorohod_integral(u: ChaosProcess, t: float) -> ChaosFunctional:
-    """The integral of u over (0, t] for a boundary time t."""
-    return _partial_integrals(u, u.grid.boundary_index(t))[-1]
+def skorohod_integral(u: ChaosProcess, b: int) -> ChaosFunctional:
+    """The integral of u over (0, t_b] for a boundary index b."""
+    u.grid.check_interval(0, b)
+    return _partial_integrals(u, b)[-1]
 
 
-def martingale_defect(Y: SkorohodProcess, s: float, t: float) -> float:
-    """Size of E[Y_t - Y_s | increments outside (s, t]]; zero exactly.
+def martingale_defect(Y: SkorohodProcess, a: int, b: int) -> float:
+    """Size of E[Y_b - Y_a | increments outside (a, b]]; zero exactly.
 
-    Returns the largest absolute coefficient of the conditioned difference
-    (its mean and all surviving kernel values).
+    a <= b are boundary indices.  Returns the largest absolute coefficient
+    of the conditioned difference (its mean and all surviving kernel
+    values).
     """
-    a, b = Y.grid.boundary_index(s), Y.grid.boundary_index(t)
+    Y.grid.check_interval(a, b)
     diff = Y.at_boundary(b).sub(Y.at_boundary(a))
     cond = conditional_expectation(diff, a, b)
     return cond.max_abs_diff(ChaosFunctional(Y.grid))
@@ -320,20 +326,17 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
                 continue
             z = min(hi, b)
             coef = conditional_expectation(F, lo, max(hi, b))
-            inc = first_order(
-                StepFunction.indicator(grid, grid.boundary_value(lo), grid.boundary_value(z))
-            )
+            inc = first_order(StepFunction.indicator(grid, lo, z))
             total = total.add(multiply(coef, inc))
         snapshots.append(total)
     return SkorohodProcess(grid, snapshots)
 
 
-def duality_gap(F: ChaosFunctional, u: ChaosProcess, t: float) -> float:
-    """|E[F * integral(u, t)] - E<DF, u 1_(0,t]>|, both sides exact."""
+def duality_gap(F: ChaosFunctional, u: ChaosProcess, b: int) -> float:
+    """|E[F * integral(u, b)] - E<DF, u 1_(0,t_b]>| at boundary index b, both exact."""
     from .chaos import malliavin_derivative
 
-    lhs = F.product_expectation(skorohod_integral(u, t))
-    b = u.grid.boundary_index(t)
+    lhs = F.product_expectation(skorohod_integral(u, b))
     rhs = sum(
         malliavin_derivative(F, c).product_expectation(u.at_cell(c)) for c in range(1, b + 1)
     ) * u.grid.delta

@@ -109,7 +109,7 @@ def _stopped_variables(batch: PathBatch, s_idx: np.ndarray) -> dict[str, np.ndar
     bv = batch.boundary_values()
     rows = np.arange(batch.count)
     x_s = bv[rows, s_idx]
-    quarter = grid.boundary_index(0.25) if grid.n_cells % 4 == 0 else 1
+    quarter = grid.n_cells // 4 if grid.n_cells % 4 == 0 else 1
     x_cap = bv[rows, np.minimum(s_idx, quarter)]
     return {
         "one": np.ones(batch.count),

@@ -125,7 +125,7 @@ def test_criterion_06_reversed_representations():
                 conditional_expectation(Fh, 8 - b, 8), rev
             )
             assert float(np.max(np.abs(lhs - rhs))) <= PATHWISE
-        hl, hr = hermite_projection(n, one, 0.5, batch)
+        hl, hr = hermite_projection(n, one, 4, batch)
         assert hr is not None
         assert float(np.max(np.abs(hl - hr))) <= PATHWISE
 
@@ -133,8 +133,8 @@ def test_criterion_06_reversed_representations():
         g = Grid(N)
         big = sample_paths(g, 10_000, seed=3)
         F2 = ChaosFunctional(g, 0.0, {2: tensor_power(StepFunction.constant(g, 1.0), 2)})
-        y = eval_functional(tail_difference(F2, g.boundary_index(0.5)), big)
-        s = backward_ito_eval(clark_ocone_integrand(F2), big, 0.5)
+        y = eval_functional(tail_difference(F2, N // 2), big)
+        s = backward_ito_eval(clark_ocone_integrand(F2), big, N // 2)
         return float(np.mean((y - s) ** 2))
 
     mses = [gap_mse(N) for N in (8, 16, 32)]
@@ -151,9 +151,9 @@ def test_criterion_07_decomposition_residual_scaling():
         batch = sample_paths(grid, 10_000, seed=5)
         spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
         bv = batch.boundary_values()
-        k = grid.boundary_index(0.5)
+        k = N // 2
         y = 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - 0.5
-        residual = semimartingale_decomposition_check(spec, y, batch, 0.5)
+        residual = semimartingale_decomposition_check(spec, y, batch, k)
         return float(np.sqrt(np.mean(residual**2)))
 
     rmses = [decomposition_rms(N) for N in (64, 128, 256)]

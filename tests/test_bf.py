@@ -31,10 +31,11 @@ def zero(grid):
 def head_tail_functional(grid):
     # mean, both one-sided first-order pieces, and two cross products of
     # different shapes so the coefficient matrix has rank at least two
-    head = StepFunction.indicator(grid, 0.0, 0.25)
-    tail = StepFunction.indicator(grid, 0.75, 1.0)
-    narrow_head = StepFunction.indicator(grid, 0.0, 0.125)
-    narrow_tail = StepFunction.indicator(grid, 0.875, 1.0)
+    n = grid.n_cells
+    head = StepFunction.indicator(grid, 0, n // 4)
+    tail = StepFunction.indicator(grid, 3 * n // 4, n)
+    narrow_head = StepFunction.indicator(grid, 0, n // 8)
+    narrow_tail = StepFunction.indicator(grid, 7 * n // 8, n)
     cross = sym_tensor_product(from_step(head), from_step(tail))
     cross = cross.add(sym_tensor_product(from_step(narrow_head), from_step(narrow_tail)).scaled(-3.0))
     F = ChaosFunctional(grid, 0.5, {2: cross})
@@ -50,10 +51,10 @@ def test_summand_rejects_bad_window(grid8):
 
 
 def test_summand_rejects_straddling_support(grid8):
-    spill = first_order(StepFunction.indicator(grid8, 0.0, 0.5))
+    spill = first_order(StepFunction.indicator(grid8, 0, 4))
     with pytest.raises(ValueError):
         BFSummand(grid8, 2, 6, spill, zero(grid8))
-    early = first_order(StepFunction.indicator(grid8, 0.5, 0.75))
+    early = first_order(StepFunction.indicator(grid8, 4, 6))
     with pytest.raises(ValueError):
         BFSummand(grid8, 2, 6, zero(grid8), early)
 
@@ -73,7 +74,7 @@ def test_split_reconstructs_functional(grid8):
 
 
 def test_split_rejects_window_support(grid8):
-    bad = first_order(StepFunction.indicator(grid8, 0.375, 0.5))
+    bad = first_order(StepFunction.indicator(grid8, 3, 4))
     with pytest.raises(ValueError):
         split_two_sided(bad, 2, 6)
 

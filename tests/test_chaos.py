@@ -42,7 +42,7 @@ def test_hermite_recurrence_values():
 
 
 def test_single_kernel_matches_hermite_closed_form(grid8, batch8):
-    h = StepFunction.indicator(grid8, 0.0, 0.5).scaled(2.0)
+    h = StepFunction.indicator(grid8, 0, 4).scaled(2.0)
     norm = h.norm()
     xs = isonormal_eval(batch8, h) / norm
     for n in (1, 2, 3):
@@ -63,7 +63,7 @@ def test_hermite_functional_unit_norm(grid8, batch8):
 
 def test_isometry_monte_carlo(grid8):
     batch = sample_paths(grid8, 60000, seed=42)
-    h = StepFunction.indicator(grid8, 0.0, 0.5)
+    h = StepFunction.indicator(grid8, 0, 4)
     g = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
     G = ChaosFunctional(grid8, 0.0, {2: tensor_power(g, 2)})
@@ -84,7 +84,7 @@ def test_orthogonality_across_orders_is_exact():
 def test_eval_many_matches_single(grid8, batch8):
     fs = [
         constant_functional(grid8, 2.5),
-        first_order(StepFunction.indicator(grid8, 0.25, 1.0)),
+        first_order(StepFunction.indicator(grid8, 2, 8)),
         hermite_functional(StepFunction.constant(grid8, 1.0), 3),
     ]
     stacked = eval_many(fs, batch8)
@@ -93,7 +93,7 @@ def test_eval_many_matches_single(grid8, batch8):
 
 
 def test_product_formula_matches_pathwise(grid8, batch8):
-    h1 = StepFunction.indicator(grid8, 0.0, 0.5)
+    h1 = StepFunction.indicator(grid8, 0, 4)
     h2 = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.5, {1: from_step(h1), 2: tensor_power(h2, 2)})
     G = ChaosFunctional(grid8, -1.0, {1: from_step(h2), 2: tensor_power(h1, 2)})
@@ -103,11 +103,11 @@ def test_product_formula_matches_pathwise(grid8, batch8):
 
 
 def test_product_expectation_consistency(grid8):
-    h1 = StepFunction.indicator(grid8, 0.0, 0.5)
+    h1 = StepFunction.indicator(grid8, 0, 4)
     h2 = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.5, {1: from_step(h1)})
     G = ChaosFunctional(grid8, -1.0, {2: tensor_power(h2, 2)})
-    assert multiply(F, G).expectation() == pytest.approx(F.product_expectation(G), abs=1e-14)
+    assert multiply(F, G).mean == pytest.approx(F.product_expectation(G), abs=1e-14)
 
 
 def test_product_order_cap_enforced(grid8):
@@ -153,14 +153,14 @@ def test_conditional_expectation_tower(grid8):
     a = conditional_expectation(conditional_expectation(F, 4, 8), 2, 8)
     b = conditional_expectation(F, 2, 8)
     assert a.max_abs_diff(b) == 0.0
-    assert conditional_expectation(F, 0, 8).expectation() == F.expectation()
+    assert conditional_expectation(F, 0, 8).mean == F.mean
 
 
 def test_conditional_expectation_is_projection(grid8, batch8):
     # E[F | A] times any A-measurable first-order G has the same mean as F G
     h = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
-    G = first_order(StepFunction.indicator(grid8, 0.0, 0.5))
+    G = first_order(StepFunction.indicator(grid8, 0, 4))
     proj = conditional_expectation(F, 4, 8)
     assert proj.product_expectation(G) == pytest.approx(F.product_expectation(G), abs=1e-14)
 
@@ -175,7 +175,7 @@ def test_duality_of_derivative_and_integral(grid8):
     lhs = 0.0
     for cell in grid8.cells():
         lhs += malliavin_derivative(F, cell).product_expectation(u.at_cell(cell)) * grid8.delta
-    rhs = F.product_expectation(skorohod_integral(u, 1.0))
+    rhs = F.product_expectation(skorohod_integral(u, 8))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -208,4 +208,4 @@ def test_covariance_is_symmetric_bilinear(F, G):
 def test_projection_contracts_variance(F):
     proj = conditional_expectation(F, 2, 4)
     assert proj.variance() <= F.variance() + 1e-12
-    assert proj.expectation() == pytest.approx(F.expectation(), abs=1e-12)
+    assert proj.mean == pytest.approx(F.mean, abs=1e-12)

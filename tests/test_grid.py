@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skorochaos.grid import (
     GenericityError,
+    Grid,
     Partition,
     Selection,
     all_selections,
@@ -18,10 +19,14 @@ from skorochaos.grid import (
 )
 
 
-def test_boundary_round_trip(grid8):
-    for b in range(9):
-        t = grid8.boundary_value(b)
-        assert grid8.boundary_index(t) == b
+def test_boundary_round_trip():
+    # the reflected form is what lets the reversed-time code write n - b for 1 - t
+    for n in range(1, 129):
+        grid = Grid(n)
+        for b in range(n + 1):
+            t = grid.boundary_value(b)
+            assert grid.boundary_index(t) == b
+            assert grid.boundary_index(1.0 - t) == n - b
 
 
 def test_off_grid_time_rejected(grid8):

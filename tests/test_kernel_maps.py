@@ -249,7 +249,7 @@ def test_region_read_off_matches_oracle_on_ducnualart_integrand():
 def test_skorohod_integral_is_the_process_at_its_boundary(u):
     Y = skorohod_process(u)
     for b in range(u.grid.n_cells + 1):
-        F = skorohod_integral(u, u.grid.boundary_value(b))
+        F = skorohod_integral(u, b)
         assert F.max_abs_diff(Y.at_boundary(b)) == 0.0
         assert plain(F) == plain(Y.at_boundary(b))
 

@@ -90,7 +90,7 @@ def test_orderings_counts():
 
 
 def test_norm_against_enumeration():
-    for f in (kernel_a(), kernel_b(), tensor_power(StepFunction.indicator(GRID4, 0.0, 0.5), 3)):
+    for f in (kernel_a(), kernel_b(), tensor_power(StepFunction.indicator(GRID4, 0, 2), 3)):
         assert f.norm_sq() == pytest.approx(brute_norm_sq(f), rel=1e-13)
 
 
@@ -189,6 +189,17 @@ def test_validation_errors():
             project(kernel_a(), a, b)
         with pytest.raises(ValueError, match="interval"):
             conditional_expectation(empty, a, b)
+    F = ChaosFunctional(GRID4, 0.0, {2: kernel_a()})
+    for a, b in ((0, 0.5), (0.0, 2), (1, 2.0), (False, 2), (0, True)):   # floats and bools
+        with pytest.raises(ValueError, match="integer boundary indices"):
+            project(kernel_a(), a, b)
+        with pytest.raises(ValueError, match="integer boundary indices"):
+            conditional_expectation(F, a, b)
+        with pytest.raises(ValueError, match="integer boundary indices"):
+            StepFunction.indicator(GRID4, a, b)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        restrict_below_count(kernel_a(), 1, 2.0)
+    assert list(project(kernel_a(), np.int64(0), np.int32(2)).items()) == list(project(kernel_a(), 0, 2).items())
 
 
 def sorted_multiset(order):

@@ -4,7 +4,9 @@
 other module reads kernels through ``items()``, ``value()``, ``len()`` and
 ``cells()`` and builds them through the kernel maps or the public
 constructor, so none of them may touch the ``data`` attribute.  Every
-name a module lists in ``__all__`` must exist in it.
+name a module lists in ``__all__`` must exist in it.  Times are boundary
+indices below the experiment layer: a float time becomes an index only
+where a config value or a stopping rule's parameter holds it.
 """
 
 import ast
@@ -18,6 +20,32 @@ OWNER = "kernels.py"
 def data_reads(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "data"]
+
+
+TIME_TO_INDEX = {"grid.py", "experiments.py", "stopping.py"}
+NO_INDEX_TO_TIME = {"skorohod.py", "bf.py", "paths.py"}
+
+
+def method_calls(path, name):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == name
+    ]
+
+
+def test_times_become_indices_only_at_the_edge():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert TIME_TO_INDEX | NO_INDEX_TO_TIME <= {p.name for p in modules}
+    to_index = [
+        f"{p.name}:{line}" for p in modules if p.name not in TIME_TO_INDEX for line in method_calls(p, "boundary_index")
+    ]
+    to_time = [
+        f"{p.name}:{line}" for p in modules if p.name in NO_INDEX_TO_TIME for line in method_calls(p, "boundary_value")
+    ]
+    assert to_index == [], f"boundary_index called below the experiment layer: {to_index}"
+    assert to_time == [], f"boundary_value called in an index-only module: {to_time}"
 
 
 def test_only_kernels_reads_kernel_storage():

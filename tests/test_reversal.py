@@ -32,8 +32,9 @@ def quadratic_terminal(grid):
 
 
 def mixed_functional(grid):
-    h1 = StepFunction.indicator(grid, 0.0, 0.5)
-    h2 = StepFunction.indicator(grid, 0.25, 1.0)
+    n = grid.n_cells
+    h1 = StepFunction.indicator(grid, 0, n // 2)
+    h2 = StepFunction.indicator(grid, n // 4, n)
     k2 = sym_tensor_product(from_step(h1), from_step(h2))
     k3 = tensor_power(h2, 3)
     return ChaosFunctional(grid, 0.75, {1: from_step(h1), 2: k2, 3: k3})
@@ -90,12 +91,10 @@ def test_backward_ito_gap_is_reversed_quadratic_fluctuation(grid8, batch8):
     F = quadratic_terminal(grid8)
     phi = clark_ocone_integrand(F)
     rev = reverse_batch(batch8)
-    for t in (0.5, 1.0):
-        b = grid8.boundary_index(t)
+    for b in (4, 8):
         y = eval_functional(tail_difference(F, b), batch8)
-        ito = backward_ito_eval(phi, batch8, t)
-        start = grid8.boundary_index(1.0 - t)
-        window = rev.increments[:, start:]
+        ito = backward_ito_eval(phi, batch8, b)
+        window = rev.increments[:, grid8.n_cells - b :]
         want = np.sum(window**2 - grid8.delta, axis=1)
         np.testing.assert_allclose(y - ito, want, atol=1e-12)
 
@@ -105,21 +104,21 @@ def test_backward_ito_rejects_nonpredictable_integrand(grid8, batch8):
         grid8, first_order(StepFunction.constant(grid8, 1.0))
     )
     with pytest.raises(ValueError):
-        backward_ito_eval(anticipating, batch8, 1.0)
+        backward_ito_eval(anticipating, batch8, 8)
 
 
 def test_hermite_projection_identity(grid8, batch8):
     h = StepFunction.constant(grid8, 1.0)
     for n in (1, 2, 3):
-        lhs, rhs = hermite_projection(n, h, 0.5, batch8)
+        lhs, rhs = hermite_projection(n, h, 4, batch8)
         assert rhs is not None
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_hermite_projection_degenerate_tail(grid8, batch8):
-    h = StepFunction.indicator(grid8, 0.0, 0.5).scaled(np.sqrt(2.0))
+    h = StepFunction.indicator(grid8, 0, 4).scaled(np.sqrt(2.0))
     assert h.norm() == pytest.approx(1.0)
-    lhs, rhs = hermite_projection(2, h, 0.75, batch8)
+    lhs, rhs = hermite_projection(2, h, 6, batch8)
     assert rhs is None
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
     np.testing.assert_allclose(
@@ -127,9 +126,22 @@ def test_hermite_projection_degenerate_tail(grid8, batch8):
     )
 
 
+def test_reversal_index_apis_reject_float_times(grid8, batch8):
+    F = quadratic_terminal(grid8)
+    spec = PhiSpec(fn=lambda alpha, x: 2.0 * x, steps=(StepFunction.constant(grid8, 1.0),))
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        tail_difference(F, 0.5)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        backward_ito_eval(clark_ocone_integrand(F), batch8, 0.5)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        hermite_projection(2, StepFunction.constant(grid8, 1.0), 0.5, batch8)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        semimartingale_decomposition_check(spec, exact_quadratic_y(batch8, 4), batch8, 0.5)
+
+
 def test_hermite_projection_needs_unit_norm(grid8, batch8):
     with pytest.raises(ValueError):
-        hermite_projection(2, StepFunction.constant(grid8, 2.0), 0.5, batch8)
+        hermite_projection(2, StepFunction.constant(grid8, 2.0), 4, batch8)
 
 
 def test_quadratic_covariation_deterministic(grid16):
@@ -147,7 +159,7 @@ def test_quadratic_covariation_deterministic(grid16):
 
 
 def test_phispec_samples_reversed_coordinates(grid8, batch8):
-    g = StepFunction.indicator(grid8, 0.0, 0.5)
+    g = StepFunction.indicator(grid8, 0, 4)
     spec = PhiSpec(fn=lambda alpha, x: alpha + 3.0 * x, steps=(g,))
     rev = reverse_batch(batch8)
     got = spec.sample_boundaries(rev)
@@ -160,17 +172,16 @@ def test_phispec_samples_reversed_coordinates(grid8, batch8):
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
-def exact_quadratic_y(batch, t):
+def exact_quadratic_y(batch, b):
     walk = batch.boundary_values()
-    b = batch.grid.boundary_index(t)
+    t = batch.grid.boundary_value(b)
     return 2.0 * walk[:, -1] * walk[:, b] - walk[:, b] ** 2 - t
 
 
 def test_decomposition_residual_is_forward_fluctuation(grid16):
     batch = sample_paths(grid16, 500, seed=7)
     spec = PhiSpec(fn=lambda alpha, x: 2.0 * x, steps=(StepFunction.constant(grid16, 1.0),))
-    for t in (0.25, 0.75, 1.0):
-        residual = semimartingale_decomposition_check(spec, exact_quadratic_y(batch, t), batch, t)
-        b = grid16.boundary_index(t)
+    for b in (4, 12, 16):
+        residual = semimartingale_decomposition_check(spec, exact_quadratic_y(batch, b), batch, b)
         want = np.sum(batch.increments[:, :b] ** 2 - grid16.delta, axis=1)
         np.testing.assert_allclose(residual, want, atol=1e-12)

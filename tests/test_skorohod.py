@@ -29,6 +29,7 @@ from skorochaos.skorohod import (
     projected_synthesis_process,
     region_energy_bound,
     resynthesize,
+    skorohod_integral,
     skorohod_process,
     step_approximation,
 )
@@ -73,15 +74,38 @@ def test_martingale_defect_zero_for_family(grid16):
         terminal_plus_path(grid16),
     ):
         Y = skorohod_process(u)
-        for s, t in [(0.0, 0.5), (0.25, 0.75), (0.5, 0.5625), (0.9375, 1.0)]:
-            assert martingale_defect(Y, s, t) == 0.0
+        for a, b in [(0, 8), (4, 12), (8, 9), (15, 16)]:
+            assert martingale_defect(Y, a, b) == 0.0
+
+
+def test_process_indices_are_checked(grid8):
+    u = brownian_terminal_process(grid8)
+    Y = skorohod_process(u)
+    for i in (-1, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            Y.at_boundary(i)
+    for k in (0, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            u.at_cell(k)
+
+
+def test_index_apis_reject_float_times(grid8):
+    u = brownian_terminal_process(grid8)
+    Y = skorohod_process(u)
+    F = Y.at_boundary(8)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        skorohod_integral(u, 0.5)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        martingale_defect(Y, 0, 0.5)
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        duality_gap(F, u, 1.0)
 
 
 def test_duality_gap_zero(grid8):
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(StepFunction.constant(grid8, 1.0), 2)})
     for u in (brownian_terminal_process(grid8), terminal_plus_path(grid8)):
-        assert duality_gap(F, u, 1.0) == pytest.approx(0.0, abs=1e-14)
-        assert duality_gap(F, u, 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert duality_gap(F, u, 8) == pytest.approx(0.0, abs=1e-14)
+        assert duality_gap(F, u, 4) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sobolev_norm_closed_form(grid8):
@@ -100,7 +124,7 @@ def test_sobolev_norm_closed_form(grid8):
 
 def test_step_process_rejects_support_in_own_interval(grid8):
     part = Partition.dyadic(grid8, 1)
-    bad = first_order(StepFunction.indicator(grid8, 0.0, 0.5))
+    bad = first_order(StepFunction.indicator(grid8, 0, 4))
     with pytest.raises(ValueError):
         StepProcess(grid8, part, (bad, constant_functional(grid8, 0.0)))
 
@@ -204,8 +228,9 @@ def test_read_off_against_another_process_leaves_a_residual(grid8):
 
 def step_coeff_strategy(grid):
     # first-order coefficients supported outside a fixed middle interval
-    head = StepFunction.indicator(grid, 0.0, 0.25)
-    tail = StepFunction.indicator(grid, 0.75, 1.0)
+    n = grid.n_cells
+    head = StepFunction.indicator(grid, 0, n // 4)
+    tail = StepFunction.indicator(grid, 3 * n // 4, n)
     return st.builds(
         lambda a, b, c: constant_functional(grid, c)
         .add(first_order(head.scaled(a)))
@@ -233,5 +258,5 @@ def test_integral_of_random_step_is_defect_free(data):
         ),
     )
     Y = skorohod_process(step.as_process())
-    for s, t in [(0.0, 0.5), (0.25, 1.0), (0.5, 0.75)]:
-        assert martingale_defect(Y, s, t) <= 1e-12
+    for a, b in [(0, 4), (2, 8), (4, 6)]:
+        assert martingale_defect(Y, a, b) <= 1e-12
