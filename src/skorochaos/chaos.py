@@ -260,6 +260,11 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     added only into the rows that hold the multiset.  Memory stays flat in
     the path count: one Hermite table, one term and one scaled term per
     block.
+
+    Products are shared only within one call, so a caller should pass all
+    the functionals it reads on a batch together.  A path's row depends
+    only on that path's increments, so evaluating a subset of the paths,
+    in any order, gives the matching columns bit for bit.
     """
     for F in functionals:
         if F.grid != batch.grid:

@@ -144,6 +144,16 @@ def _depth_divides_grid(cfg: ExperimentConfig) -> None:
         raise ValueError(f"depth={cfg.depth} does not divide an N={cfg.N} grid")
 
 
+def _quarters_are_boundaries(cfg: ExperimentConfig) -> None:
+    # stopping's depth-2 partition and time 0.5, and reversal's bracket rows at 0.25..1, sit on quarter boundaries
+    if cfg.N < 4:
+        raise ValueError(f"N={cfg.N} is below 4, so the quarter times this experiment reads are not grid boundaries")
+
+
+def _t_is_boundary(cfg: ExperimentConfig) -> None:
+    Grid(cfg.N).boundary_index(cfg.t)
+
+
 def _theorem1_depth_can_pass(cfg: ExperimentConfig) -> None:
     # the residual energy of theorem1's integrand halves per level, 4.5 at depth 0 to 0.5625 (12.5%) at 3
     if cfg.depth < 4:
@@ -213,36 +223,39 @@ def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
     return res
 
 
-def _isometry_pairs(grid: Grid, top: int):
-    """Deterministic kernel family with nonzero cross inner products."""
+def _isometry_kernels(grid: Grid, top: int):
+    """Deterministic kernel family with nonzero cross inner products.
+
+    f_n = ha^(x)n and g_m = sym(ha^(x)(m-1) (x) hb) for n, m = 1..top.
+    """
     k = np.arange(grid.n_cells)
     ha = StepFunction(grid, 0.7 + 0.6 * (k + 1) / grid.n_cells)
     hb = StepFunction(grid, np.where(k < grid.n_cells // 2, 1.0, -0.8))
-    out = []
-    for n in range(1, top + 1):
-        for m in range(n, top + 1):
-            f = tensor_power(ha, n)
-            g = from_step(hb) if m == 1 else sym_tensor_product(tensor_power(ha, m - 1), from_step(hb))
-            out.append((n, m, f, g))
-    return out
+    fs = [tensor_power(ha, n) for n in range(1, top + 1)]
+    gs = [from_step(hb) if m == 1 else sym_tensor_product(tensor_power(ha, m - 1), from_step(hb))
+          for m in range(1, top + 1)]
+    return fs, gs
 
 
 def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     res = _new_result(cfg)
     grid = Grid(cfg.N)
     batch = sample_paths(grid, cfg.paths, cfg.seed)
-    for n, m, f, g in _isometry_pairs(grid, max(cfg.L, 1)):
-        F = ChaosFunctional(grid, 0.0, {n: f})
-        G = ChaosFunctional(grid, 0.0, {m: g})
-        exact = math.factorial(n) * f.inner(g) if n == m else 0.0
-        a, b = eval_many([F, G], batch)
-        prod = a * b
-        est = float(np.mean(prod))
-        se = float(np.std(prod, ddof=1) / np.sqrt(cfg.paths))
-        z = (est - exact) / se
-        res.rows.append((n, m, exact, est, se, z))
-        if abs(z) > 3.0:
-            res.failures.append(f"isometry: order pair ({n},{m}) off by z={z:.2f}")
+    top = max(cfg.L, 1)
+    fs, gs = _isometry_kernels(grid, top)
+    # every I_n(f_n) and I_m(g_m) in one call, rows f_1..f_top then g_1..g_top
+    vals = eval_many([ChaosFunctional(grid, 0.0, {h.order: h}) for h in fs + gs], batch)
+    for n in range(1, top + 1):
+        for m in range(n, top + 1):
+            f, g = fs[n - 1], gs[m - 1]
+            exact = math.factorial(n) * f.inner(g) if n == m else 0.0
+            prod = vals[n - 1] * vals[top + m - 1]
+            est = float(np.mean(prod))
+            se = float(np.std(prod, ddof=1) / np.sqrt(cfg.paths))
+            z = (est - exact) / se
+            res.rows.append((n, m, exact, est, se, z))
+            if abs(z) > 3.0:
+                res.failures.append(f"isometry: order pair ({n},{m}) off by z={z:.2f}")
     return res
 
 
@@ -352,12 +365,13 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
         for k in range(1, cfg.n + 1):
             F = ChaosFunctional(grid, 0.0, {k: tensor_power(one, k)})
             Fh = reverse_functional(F)
-            fh = eval_functional(Fh, rev)
+            bbs = (0, b, grid.n_cells)
+            tails = [reverse_functional(tail_difference(F, bb)) for bb in bbs]
+            conds = [conditional_expectation(Fh, grid.n_cells - bb, grid.n_cells) for bb in bbs]
+            fh, *vals = eval_many([Fh, *tails, *conds], rev)
             worst = 0.0
-            for bb in (0, b, grid.n_cells):
-                lhs = eval_functional(reverse_functional(tail_difference(F, bb)), rev)
-                rhs = fh - eval_functional(conditional_expectation(Fh, grid.n_cells - bb, grid.n_cells), rev)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            for lhs, cond in zip(vals[: len(bbs)], vals[len(bbs) :]):
+                worst = max(worst, float(np.max(np.abs(lhs - (fh - cond)))))
             res.rows.append((cfg.N, cfg.t, f"two_sided_projection_residual_n{k}", worst, 0.0))
             if worst > _PATHWISE:
                 res.failures.append(f"reversal: projection identity residual {worst:.3e} at n={k}")
@@ -471,11 +485,12 @@ SPECS: dict[str, ExperimentSpec] = {
     # no cell cap: above it reversal skips its kernel checks and keeps the pathwise ones
     "reversal": ExperimentSpec(
         _run_reversal, "reversed-time identities and decomposition residuals",
-        ("N", "t", "statistic", "value", "std_error"), ("N", "n", "t", "paths", "seed", "workers")),
+        ("N", "t", "statistic", "value", "std_error"), ("N", "n", "t", "paths", "seed", "workers"),
+        (_quarters_are_boundaries, _t_is_boundary)),
     "stopping": ExperimentSpec(
         _run_stopping, "optional sampling and stopped integrals",
         ("rule", "test_variable", "n_paths", "estimate", "std_error", "z"), ("N", "paths", "seed", "workers"),
-        (_within_cell_cap,)),
+        (_within_cell_cap, _quarters_are_boundaries)),
 }
 
 # run_experiment dispatches through this registry, so a test can swap in a runner

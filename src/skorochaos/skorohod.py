@@ -198,6 +198,40 @@ class SkorohodProcess:
         """Pathwise values at every boundary, shape (count, n_cells + 1)."""
         return eval_many(self.functionals, batch).T
 
+    def eval_at(self, batch: PathBatch, *indices: np.ndarray) -> np.ndarray:
+        """Pathwise values at per-path boundaries, shape (len(indices), count).
+
+        Row i holds Y at boundary indices[i][p] on path p.  The paths are
+        grouped by their tuple of indices, and each group is evaluated in
+        one ``eval_many`` call on its own rows of the batch, so the values
+        at a path's boundaries share their Hermite products.  A path's
+        value depends only on its own increments, so every entry equals
+        the matching entry of ``eval_batch`` bit for bit.
+        """
+        n = self.grid.n_cells
+        stacked = np.empty((len(indices), batch.count), dtype=np.int64)
+        for row, idx in zip(stacked, indices):
+            idx = np.asarray(idx)
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"boundary indices need an integer dtype, got {idx.dtype}")
+            if idx.shape != (batch.count,):
+                raise ValueError(f"need one boundary index per path, got shape {idx.shape}")
+            if idx.size and not (0 <= idx.min() and idx.max() <= n):
+                raise ValueError(f"boundary index out of range 0..{n}")
+            row[:] = idx
+        out = np.empty(stacked.shape)
+        if not stacked.size:
+            return out
+        # sort the paths by index tuple once, so each group is a slice
+        order = np.lexsort(stacked[::-1])
+        ordered = stacked[:, order]
+        increments = batch.increments[order]
+        cuts = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)) + 1), batch.count]
+        for a, b in zip(cuts, cuts[1:]):
+            sub = PathBatch(batch.grid, batch.seed, increments[a:b])
+            out[:, order[a:b]] = eval_many([self.functionals[i] for i in ordered[:, a]], sub)
+        return out
+
     def __repr__(self) -> str:
         return f"SkorohodProcess(cells={self.grid.n_cells})"
 

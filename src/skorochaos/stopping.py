@@ -127,14 +127,16 @@ def optional_sampling_check(
     T: GridStoppingTime,
     batch: PathBatch,
 ) -> list[SamplingRow]:
-    """z-scores of E[G (Y_T - Y_S)] over a panel of S-measurable G."""
+    """z-scores of E[G (Y_T - Y_S)] over a panel of S-measurable G.
+
+    Y is evaluated on each path only at its two stopping times.
+    """
     s_idx = S.eval(batch)
     t_idx = T.eval(batch)
     if np.any(s_idx > t_idx):
         raise ValueError("S exceeds T on some path")
-    curve = Y.eval_batch(batch)
-    rows = np.arange(batch.count)
-    diff = curve[rows, t_idx] - curve[rows, s_idx]
+    y_t, y_s = Y.eval_at(batch, t_idx, s_idx)
+    diff = y_t - y_s
     out = []
     for name, g in _stopped_variables(batch, s_idx).items():
         prod = g * diff

@@ -144,7 +144,8 @@ def test_backward_ito_window_functionals_match_oracle(n_cells, order):
 @pytest.mark.parametrize("parts", [1, 3])
 def test_batch_sizes_and_workers_match_oracle(count, parts):
     """Each path's row is the same whether the batch is evaluated whole or in
-    ``parts`` contiguous slices, one call each, as a split over workers would."""
+    ``parts`` contiguous slices, one call each, as a split over workers would,
+    or as a permuted selection of rows with gaps, as ``eval_at`` groups them."""
     grid = Grid(6)
     Y = skorohod_process(brownian_terminal_process(grid))
     fs = [constant_functional(grid, -0.0), *Y.functionals]
@@ -157,6 +158,10 @@ def test_batch_sizes_and_workers_match_oracle(count, parts):
     want = oracle_eval_many(fs, batch)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    perm = np.random.default_rng(parts).permutation(count)
+    rows = perm[perm % 3 != 1]
+    picked = eval_many(fs, PathBatch(grid, batch.seed, batch.increments[rows]))
+    assert picked.tobytes() == want[:, rows].tobytes()
 
 
 def test_no_functionals():

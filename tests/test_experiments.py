@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from skorochaos import ExperimentConfig, run_experiment
+from skorochaos import ExperimentConfig, Grid, run_experiment
 from skorochaos.cli import main, read_config_file
 from skorochaos.experiments import format_value
 
@@ -109,6 +109,11 @@ def test_format_value_round_trips_floats():
         dict(experiment="isometry", paths=1e5),
         dict(experiment="reversal", t="0.5"),
         dict(experiment="reversal", t=True),
+        dict(experiment="stopping", N=1),
+        dict(experiment="stopping", N=2),
+        dict(experiment="reversal", t=0.5, N=2),
+        dict(experiment="reversal", N=8, t=0.3),
+        dict(experiment="reversal", N=128, t=-0.25),
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -213,6 +218,58 @@ def test_cli_opens_out_before_the_run(monkeypatch, tmp_path, capsys):
     dest = tmp_path / "x.csv"
     assert main(["martingale", "--N", "7", "--out", str(dest)]) == 2
     assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stopping", "--N", "1"],
+        ["stopping", "--N", "2"],
+        ["reversal", "--N", "2", "--t", "0.25"],
+        ["reversal", "--N", "8", "--t", "0.3"],
+    ],
+)
+def test_cli_rejects_a_config_the_grid_cannot_hold_before_opening_out(argv, tmp_path, capsys):
+    dest = tmp_path / "f.csv"
+    dest.write_bytes(b"earlier table\n")
+    assert main([*argv, "--paths", "10", "--out", str(dest)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert dest.read_bytes() == b"earlier table\n"
+
+
+@pytest.fixture
+def eval_rows(monkeypatch):
+    """Rows x paths of every eval_many call, wherever the name is bound."""
+    from skorochaos import chaos, experiments, reversal, skorohod, stopping
+
+    original = chaos.eval_many
+    calls = []
+
+    def counted(functionals, batch):
+        calls.append(len(functionals) * batch.count)
+        return original(functionals, batch)
+
+    for module in (chaos, experiments, reversal, skorohod, stopping):
+        monkeypatch.setattr(module, "eval_many", counted)
+    return calls
+
+
+def test_each_batch_is_evaluated_once(eval_rows):
+    from skorochaos import GridStoppingTime, optional_sampling_check, sample_paths
+    from skorochaos.skorohod import brownian_terminal_process, skorohod_process
+
+    grid = Grid(16)
+    batch = sample_paths(grid, 500, seed=3)
+    Y = skorohod_process(brownian_terminal_process(grid))
+    S, T = GridStoppingTime.first_exit(grid, -0.5, 0.5), GridStoppingTime.deterministic(grid, 1.0)
+    optional_sampling_check(Y, S, T, batch)
+    assert sum(eval_rows) <= 2 * batch.count
+    eval_rows.clear()
+    run_experiment(ExperimentConfig(experiment="isometry", N=8, L=3, paths=200))
+    assert len(eval_rows) == 1
+    eval_rows.clear()
+    run_experiment(ExperimentConfig(experiment="reversal", N=16, n=2, t=0.5, paths=200))
+    assert len(eval_rows) <= 6
 
 
 def test_cli_reports_failures(monkeypatch, capsys):

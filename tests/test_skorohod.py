@@ -14,7 +14,7 @@ from skorochaos.chaos import (
 )
 from skorochaos.grid import Grid, Partition
 from skorochaos.kernels import tensor_power
-from skorochaos.paths import StepFunction
+from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
     EnergyReport,
@@ -87,6 +87,64 @@ def test_process_indices_are_checked(grid8):
     for k in (0, 9):
         with pytest.raises(ValueError, match="out of range"):
             u.at_cell(k)
+
+
+def mixed_order_process(grid):
+    """An integral process with kernels of orders 1, 2 and 3 at every boundary after 0."""
+    second = ChaosFunctional(grid, 0.0, {2: tensor_power(StepFunction.constant(grid, 1.0), 2)})
+    u = terminal_plus_path(grid).add(ChaosProcess.constant(grid, second.add(constant_functional(grid, 0.5))))
+    return skorohod_process(u)
+
+
+@st.composite
+def eval_at_cases(draw):
+    """A process, a batch, and one to three index arrays: random, all one index, or every index."""
+    grid = Grid(draw(st.sampled_from([4, 8])))
+    n = grid.n_cells
+    kind = draw(st.sampled_from(["random", "shared", "every"]))
+    count = draw(st.integers(n + 1 if kind == "every" else 1, 40))
+    batch = sample_paths(grid, count, draw(st.integers(0, 2**64 - 1)))
+    indices = []
+    for _ in range(draw(st.integers(1, 3))):
+        if kind == "shared":
+            idx = [draw(st.integers(0, n))] * count
+        elif kind == "every":
+            idx = draw(st.permutations(list(range(n + 1)) + [draw(st.integers(0, n)) for _ in range(count - n - 1)]))
+        else:
+            idx = draw(st.lists(st.integers(0, n), min_size=count, max_size=count))
+        indices.append(np.array(idx, dtype=draw(st.sampled_from([np.int64, np.int32, np.uint8]))))
+    return mixed_order_process(grid), batch, indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=eval_at_cases())
+def test_eval_at_reads_the_curve_bit_for_bit(case):
+    Y, batch, indices = case
+    curve = Y.eval_batch(batch)
+    got = Y.eval_at(batch, *indices)
+    assert got.shape == (len(indices), batch.count)
+    for row, idx in zip(got, indices):
+        want = curve[np.arange(batch.count), idx]
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+def test_eval_at_checks_its_indices(grid8, batch8):
+    Y = mixed_order_process(grid8)
+    ok = np.zeros(batch8.count, dtype=np.int64)
+    for bad, match in (
+        (np.full(batch8.count, -1), "out of range"),
+        (np.full(batch8.count, 9), "out of range"),
+        (np.zeros(batch8.count), "integer dtype"),
+        (np.zeros(batch8.count, dtype=bool), "integer dtype"),
+        (np.zeros(batch8.count - 1, dtype=np.int64), "one boundary index per path"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Y.eval_at(batch8, ok, bad)
+    empty = PathBatch(grid8, 0, np.empty((0, 8)))
+    none = np.zeros(0, dtype=np.int64)
+    assert Y.eval_at(empty, none, none).shape == (2, 0)
+    with pytest.raises(ValueError, match="one boundary index per path"):
+        Y.eval_at(empty, ok)
 
 
 def test_index_apis_reject_float_times(grid8):
