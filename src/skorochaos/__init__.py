@@ -39,6 +39,7 @@ from .skorohod import (
     ito_skorohod_integrand,
     martingale_defect,
     max_increment_energy,
+    max_martingale_defect,
     projected_synthesis_process,
     region_energy_bound,
     resynthesize,
@@ -101,6 +102,7 @@ __all__ = [
     "ito_skorohod_integrand",
     "martingale_defect",
     "max_increment_energy",
+    "max_martingale_defect",
     "projected_synthesis_process",
     "region_energy_bound",
     "resynthesize",

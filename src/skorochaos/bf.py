@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,12 +73,24 @@ class BFSummand:
             raise ValueError("backward factor has support before the window end")
 
     def forward_martingale(self, b: int) -> ChaosFunctional:
-        """E[G1 * window increment | increments up to boundary b]."""
-        z = min(b, self.hi)
-        if z <= self.lo:
+        """E[G1 * window increment | increments up to boundary b].
+
+        From b = hi on this is the full-window factor, built once per summand.
+        """
+        if b >= self.hi:
+            return self._full_forward
+        if b <= self.lo:
             return ChaosFunctional(self.grid, 0.0, {})
-        inc = first_order(StepFunction.indicator(self.grid, self.lo, z))
-        return multiply(self.forward, inc)
+        return self._forward_to(b)
+
+    @cached_property
+    def _full_forward(self) -> ChaosFunctional:
+        # a frozen dataclass without __slots__: the cache goes into the instance __dict__
+        return self._forward_to(self.hi)
+
+    def _forward_to(self, z: int) -> ChaosFunctional:
+        """G1 times the increment over (lo, z], for lo < z <= hi."""
+        return multiply(self.forward, first_order(StepFunction.indicator(self.grid, self.lo, z)))
 
     def backward_martingale(self, b: int) -> ChaosFunctional:
         """E[G2 | increments after boundary max(b, hi)]."""

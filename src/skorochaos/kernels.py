@@ -13,8 +13,9 @@ algebra needed by the chaos calculus: symmetrized tensor products and
 contractions, projections that condition on the increments outside an
 interval, restriction by the number of variables below a boundary, time
 reversal, the cell maps of the Malliavin derivative and the Skorohod
-integral, and the read-off of the Duc-Nualart region kernels f_{l,q} of
-an integral process.
+integral, the read-off of the Duc-Nualart region kernels f_{l,q} of
+an integral process, and the spread of an integral process's values
+between the cells of each multiset, which sizes its martingale defect.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
@@ -57,6 +58,7 @@ __all__ = [
     "add_cell",
     "move_cell",
     "region_kernels",
+    "max_gap_spread",
     "tensor_power",
     "from_step",
     "constant_kernel",
@@ -421,6 +423,38 @@ def region_kernels(
             if v != 0.0:
                 out[i + 1][mu] = v
     return [SymKernel._built(grid, l, d) for d in out]
+
+
+def max_gap_spread(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -> float:
+    """Largest fl(max - min) of a multiset's values over one gap of its cells.
+
+    snapshots holds one order-``order`` kernel per boundary 0..n_cells
+    (None where the order is absent); a multiset a snapshot lacks reads
+    0.0 there.  The gaps of mu = (c_1 <= ... <= c_l) are the runs of
+    boundaries with the same count of cells at or before them: 0..c_1 - 1,
+    c_1..c_2 - 1, ..., c_l..n_cells.  The result is at least +0.0.
+    """
+    _check_shape(grid, order)
+    n = grid.n_cells
+    if len(snapshots) != n + 1:
+        raise ValueError(f"need one snapshot per boundary 0..{n}, got {len(snapshots)}")
+    datas = []
+    for f in snapshots:
+        if f is not None and (f.grid != grid or f.order != order):
+            raise ValueError("snapshot differs from the map in grid or order")
+        datas.append({} if f is None else f.data)
+    worst = 0.0
+    for mu in set().union(*datas):
+        values = [d.get(mu, 0.0) for d in datas]
+        lo = 0
+        for c in (*mu, n + 1):
+            if c > lo:
+                gap = values[lo:c]
+                spread = max(gap) - min(gap)
+                if spread > worst:
+                    worst = spread
+                lo = c
+    return worst
 
 
 def _dense_guard(grid: Grid, order: int) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
 from .grid import Grid, Partition
-from .kernels import SymKernel, add_cell, move_cell, region_kernels, restrict_below_count
+from .kernels import SymKernel, add_cell, max_gap_spread, move_cell, region_kernels, restrict_below_count
 from .paths import PathBatch
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "skorohod_integral",
     "skorohod_process",
     "martingale_defect",
+    "max_martingale_defect",
     "ito_skorohod_integrand",
     "step_approximation",
     "projected_synthesis_process",
@@ -274,12 +275,36 @@ def martingale_defect(Y: SkorohodProcess, a: int, b: int) -> float:
 
     a <= b are boundary indices.  Returns the largest absolute coefficient
     of the conditioned difference (its mean and all surviving kernel
-    values).
+    values).  ``max_martingale_defect`` gives the largest over all pairs in
+    one sweep, bit for bit.
     """
     Y.grid.check_interval(a, b)
     diff = Y.at_boundary(b).sub(Y.at_boundary(a))
     cond = conditional_expectation(diff, a, b)
     return cond.max_abs_diff(ChaosFunctional(Y.grid))
+
+
+def max_martingale_defect(Y: SkorohodProcess) -> float:
+    """max(martingale_defect(Y, a, b) for 0 <= a < b <= n_cells), bit for bit.
+
+    Write Y_x(mu) for the order-|mu| kernel of Y at boundary x, 0.0 where
+    it stores none.  The defect of (a, b) is the largest |fl(Y_b(mu) -
+    Y_a(mu))| over the multisets mu that the conditioning keeps, and over
+    the mean, which it always keeps.  It keeps mu exactly when no cell of
+    mu lies in (a, b], that is when a and b lie in the same gap between
+    consecutive cells of mu.  So each multiset is read once per gap, not
+    once per pair.  Rounding to nearest is monotone and odd, so over the
+    pairs in one gap the largest |fl(Y_b(mu) - Y_a(mu))| is fl(max - min)
+    of Y_x(mu) over the gap's boundaries, with equality at the pair that
+    holds the max and the min.  The mean has one gap, 0..n_cells.  Every
+    candidate is a nonnegative float and a max of such floats is one of
+    them, so the sweep returns the same float as the per-pair maximum.
+    """
+    means = [F.mean for F in Y.functionals]
+    worst = max(means) - min(means)
+    for l in range(1, max(F.max_order for F in Y.functionals) + 1):
+        worst = max(worst, max_gap_spread(Y.grid, l, [F.kernels.get(l) for F in Y.functionals]))
+    return worst
 
 
 def ito_skorohod_integrand(u: ChaosProcess) -> ChaosProcess:

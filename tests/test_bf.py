@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from skorochaos import (
+    BFProcess,
     BFSummand,
     ChaosFunctional,
+    Grid,
     Partition,
     StepFunction,
     brownian_path_process,
@@ -144,3 +146,20 @@ def test_energy_halves_with_depth(grid16):
         _, _, bf = two_sided_approximation(u, Partition.dyadic(grid16, d))
         vhat = max_increment_energy(Y.sub(bf.as_skorohod())).value
         assert vhat == pytest.approx(4.5 * 2.0**-d, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_cached_forward_factor_keeps_every_bit_and_key(n):
+    grid = Grid(n)
+    u = brownian_terminal_process(grid).add(brownian_path_process(grid))
+    for d in range(n.bit_length()):
+        _, _, bf = two_sided_approximation(u, Partition.dyadic(grid, d))
+        Z = bf.as_skorohod()
+        for b in range(n + 1):
+            # fresh summands have nothing cached, so each factor is built for this b alone
+            fresh = BFProcess(grid, tuple(BFSummand(grid, s.lo, s.hi, s.forward, s.backward) for s in bf.summands))
+            got, want = Z.at_boundary(b), fresh.value_at(b)
+            assert got.mean.hex() == want.mean.hex()
+            assert list(got.kernels) == list(want.kernels)
+            for order, f in want.kernels.items():
+                assert list(got.kernels[order].items()) == list(f.items())

@@ -269,7 +269,69 @@ def test_each_batch_is_evaluated_once(eval_rows):
     assert len(eval_rows) == 1
     eval_rows.clear()
     run_experiment(ExperimentConfig(experiment="reversal", N=16, n=2, t=0.5, paths=200))
-    assert len(eval_rows) <= 6
+    # two per order k (the projection panel, hermite_projection) and backward_ito_eval's;
+    # the backward-Ito gap reuses hermite_projection's k = 2 lhs
+    assert len(eval_rows) == 5
+
+
+def counting(monkeypatch, name, modules, calls):
+    """Record a call of ``name`` in ``calls``, in every module of ``modules`` that binds it."""
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_martingale_rows_match_the_per_pair_loop(n):
+    from skorochaos.experiments import _integrand_family
+    from skorochaos.skorohod import martingale_defect, skorohod_process
+
+    want = []
+    for name, u in _integrand_family(Grid(n)):
+        Y = skorohod_process(u)
+        pairs = [martingale_defect(Y, a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
+        want.append((name, len(pairs), max(pairs)))
+    res = run_experiment(ExperimentConfig(experiment="martingale", N=n))
+    assert res.ok, res.failures
+    assert [(name, pairs, worst.hex()) for name, pairs, worst in res.rows] == [
+        (name, pairs, worst.hex()) for name, pairs, worst in want
+    ]
+
+
+def test_martingale_makes_no_per_pair_call(monkeypatch):
+    from skorochaos import chaos, experiments, skorohod
+
+    calls = []
+    for name in ("martingale_defect", "conditional_expectation"):
+        counting(monkeypatch, name, (skorohod, chaos, experiments), calls)
+    run_experiment(ExperimentConfig(experiment="martingale", N=16))
+    assert calls == []
+
+
+def test_theorem1_builds_each_forward_factor_once_per_window_boundary(monkeypatch):
+    from skorochaos import bf, experiments
+
+    built, families = [], []
+    # every forward-factor build multiplies G1 by one window increment made by first_order
+    counting(monkeypatch, "first_order", (bf,), built)
+    original = experiments.two_sided_approximation
+
+    def kept(u, partition):
+        out = original(u, partition)
+        families.append(out[2])
+        return out
+
+    monkeypatch.setattr(experiments, "two_sided_approximation", kept)
+    run_experiment(ExperimentConfig(experiment="theorem1", N=16, depth=4))
+    assert len(families) == 5
+    assert built
+    assert len(built) <= sum(s.hi - s.lo + 1 for family in families for s in family.summands)
 
 
 def test_cli_reports_failures(monkeypatch, capsys):

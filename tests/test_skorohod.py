@@ -13,11 +13,12 @@ from skorochaos.chaos import (
     first_order,
 )
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import tensor_power
+from skorochaos.kernels import SymKernel, max_gap_spread, tensor_power
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
     EnergyReport,
+    SkorohodProcess,
     StepProcess,
     brownian_path_process,
     brownian_terminal_process,
@@ -26,6 +27,7 @@ from skorochaos.skorohod import (
     ito_skorohod_integrand,
     martingale_defect,
     max_increment_energy,
+    max_martingale_defect,
     projected_synthesis_process,
     region_energy_bound,
     resynthesize,
@@ -318,3 +320,60 @@ def test_integral_of_random_step_is_defect_free(data):
     Y = skorohod_process(step.as_process())
     for a, b in [(0, 4), (2, 8), (4, 6)]:
         assert martingale_defect(Y, a, b) <= 1e-12
+
+
+def per_pair_max(Y):
+    n = Y.grid.n_cells
+    return max(martingale_defect(Y, a, b) for a in range(n + 1) for b in range(a + 1, n + 1))
+
+
+@st.composite
+def snapshot_processes(draw):
+    """A process of unrelated snapshots: means of either sign or signed zero, orders 1-2 at some boundaries only."""
+    grid = Grid(draw(st.sampled_from([1, 2, 3, 4, 8])))
+    n = grid.n_cells
+    values = st.one_of(
+        st.floats(-4, 4, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.30000000000000004, 5e-324]),
+    )
+    # a few multisets per order, so that most of them recur across boundaries
+    pools = {
+        l: draw(st.lists(st.lists(st.integers(1, n), min_size=l, max_size=l).map(lambda c: tuple(sorted(c))),
+                         min_size=1, max_size=4, unique=True))
+        for l in (1, 2)
+    }
+    functionals = []
+    for _ in range(n + 1):
+        kernels = {
+            l: SymKernel(grid, l, draw(st.dictionaries(st.sampled_from(pool), values, max_size=len(pool))))
+            for l, pool in pools.items()
+            if draw(st.booleans())
+        }
+        functionals.append(ChaosFunctional(grid, draw(values), kernels))
+    return SkorohodProcess(grid, functionals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(Y=snapshot_processes())
+def test_max_martingale_defect_is_the_per_pair_max_bit_for_bit(Y):
+    assert max_martingale_defect(Y).hex() == per_pair_max(Y).hex()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_max_martingale_defect_sees_a_process_that_is_no_martingale(n):
+    # Y_b = (b / N) X_1 keeps the cells outside (a, b] in its conditioned increment
+    grid = Grid(n)
+    X1 = first_order(StepFunction.constant(grid, 1.0))
+    Y = SkorohodProcess(grid, [X1.scaled(b / n) for b in range(n + 1)])
+    worst = max_martingale_defect(Y)
+    assert worst > 1e-3
+    assert worst.hex() == per_pair_max(Y).hex()
+
+
+def test_max_gap_spread_checks_its_snapshots(grid8):
+    f = tensor_power(StepFunction.constant(grid8, 1.0), 2)
+    with pytest.raises(ValueError, match="one snapshot per boundary"):
+        max_gap_spread(grid8, 2, [f] * 8)
+    with pytest.raises(ValueError, match="grid or order"):
+        max_gap_spread(grid8, 1, [f] * 9)
+    assert max_gap_spread(grid8, 2, [None] * 9) == 0.0
