@@ -19,11 +19,11 @@ from skorochaos import (
     ChaosFunctional,
     ExperimentConfig,
     Grid,
-    PhiSpec,
     StepFunction,
     backward_ito_eval,
     clark_ocone_integrand,
     eval_functional,
+    reverse_batch,
     run_experiment,
     sample_paths,
     semimartingale_decomposition_check,
@@ -67,10 +67,10 @@ def reversed_table(paths: int, seed: int) -> None:
         else:
             mse = f"{'':>12}"
 
-        spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
+        q = 2.0 * reverse_batch(batch).boundary_values()
         bv = batch.boundary_values()
         exact_y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - t
-        residual = semimartingale_decomposition_check(spec, exact_y, batch, b)
+        residual = semimartingale_decomposition_check(q, exact_y, batch, b)
         rms = float(np.sqrt(np.mean(residual**2)))
         print(f"{N:>4} {mse} {rms:12.6f}")
 

@@ -49,7 +49,6 @@ from .skorohod import (
 )
 from .bf import BFProcess, BFSummand, bf_from_step, split_two_sided, two_sided_approximation
 from .reversal import (
-    PhiSpec,
     backward_ito_eval,
     clark_ocone_integrand,
     hermite_projection,
@@ -114,7 +113,6 @@ __all__ = [
     "bf_from_step",
     "split_two_sided",
     "two_sided_approximation",
-    "PhiSpec",
     "backward_ito_eval",
     "clark_ocone_integrand",
     "hermite_projection",

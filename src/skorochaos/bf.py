@@ -35,7 +35,6 @@ from .skorohod import (
     ChaosProcess,
     SkorohodProcess,
     StepProcess,
-    ito_skorohod_integrand,
     step_approximation,
 )
 
@@ -125,9 +124,7 @@ def _basis_index(multisets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(multisets, key=lambda mu: (len(mu), mu))
 
 
-def split_two_sided(
-    F: ChaosFunctional, lo: int, hi: int, tol: float = _SPLIT_TOL
-) -> list[tuple[ChaosFunctional, ChaosFunctional]]:
+def split_two_sided(F: ChaosFunctional, lo: int, hi: int) -> list[tuple[ChaosFunctional, ChaosFunctional]]:
     """Factor F into pairs (G1, G2) across the window (lo, hi].
 
     F must have no kernel support inside the window.  In the basis of
@@ -136,7 +133,7 @@ def split_two_sided(
     those coefficients is factored by complete-pivot elimination, one
     rank-one term per pivot, which terminates at the exact rank.  The sum
     of the exact products of the returned pairs reproduces F up to the
-    elimination tolerance.
+    elimination tolerance _SPLIT_TOL.
     """
     grid = F.grid
     lefts: set[tuple[int, ...]] = {()}
@@ -166,7 +163,7 @@ def split_two_sided(
         flat = np.argmax(np.abs(R))
         i, j = np.unravel_index(flat, R.shape)
         piv = R[i, j]
-        if abs(piv) <= tol:
+        if abs(piv) <= _SPLIT_TOL:
             break
         col = R[:, j].copy()
         row = R[i, :].copy()
@@ -192,23 +189,22 @@ def _vector_to_functional(
     return ChaosFunctional(grid, mean, kernels)
 
 
-def bf_from_step(step: StepProcess, tol: float = _SPLIT_TOL) -> BFProcess:
+def bf_from_step(step: StepProcess) -> BFProcess:
     """Split every interval value of a step process into two-sided summands."""
     summands: list[BFSummand] = []
     for (lo, hi), F in zip(step.partition.intervals(), step.values):
-        for g1, g2 in split_two_sided(F, lo, hi, tol):
+        for g1, g2 in split_two_sided(F, lo, hi):
             summands.append(BFSummand(step.grid, lo, hi, g1, g2))
     return BFProcess(step.grid, tuple(summands))
 
 
-def two_sided_approximation(
-    u: ChaosProcess, partition: Partition
-) -> tuple[ChaosProcess, StepProcess, BFProcess]:
-    """Full pipeline from an integrand to its two-sided approximation.
+def two_sided_approximation(v: ChaosProcess, partition: Partition) -> tuple[StepProcess, BFProcess]:
+    """From a forward-form integrand to its two-sided approximation.
 
-    Returns the forward-form integrand v of the integral of u, its
-    conditioned step average on the partition, and the summand family.
+    v is the forward-form integrand of the integral, as
+    ``ito_skorohod_integrand`` builds it; one v serves every partition.
+    Returns its conditioned step average on the partition and the summand
+    family.
     """
-    v = ito_skorohod_integrand(u)
     step = step_approximation(v, partition)
-    return v, step, bf_from_step(step)
+    return step, bf_from_step(step)

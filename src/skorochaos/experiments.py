@@ -28,7 +28,6 @@ from .grid import GenericityError, Grid, Partition, verify_region_partition
 from .kernels import MAX_CELLS, from_step, sym_tensor_product, tensor_power
 from .paths import StepFunction, reverse_batch, sample_paths
 from .reversal import (
-    PhiSpec,
     backward_ito_eval,
     clark_ocone_integrand,
     hermite_projection,
@@ -288,9 +287,10 @@ def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
     grid = Grid(cfg.N)
     u = brownian_terminal_process(grid).add(brownian_path_process(grid))
     Y = skorohod_process(u)
+    v = ito_skorohod_integrand(u)
     vhats = []
     for d in range(cfg.depth + 1):
-        v, step, bf = two_sided_approximation(u, Partition.dyadic(grid, d))
+        step, bf = two_sided_approximation(v, Partition.dyadic(grid, d))
         Z = bf.as_skorohod()
         direct = projected_synthesis_process(step)
         split_gap = max(
@@ -387,18 +387,19 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
         mse_se = float(np.std(gap_sq, ddof=1) / np.sqrt(cfg.paths))
         res.rows.append((cfg.N, cfg.t, "backward_ito_gap_mse", mse, mse_se))
 
-    spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
+    # the integrand 2 X-hat at every reversed boundary, for the decomposition and the bracket
+    rbv = rev.boundary_values()
+    q = 2.0 * rbv
     bv = batch.boundary_values()
     y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - cfg.t
-    residual = semimartingale_decomposition_check(spec, y, batch, b)
+    residual = semimartingale_decomposition_check(q, y, batch, b)
     msq = float(np.mean(residual**2))
     msq_se = float(np.std(residual**2, ddof=1) / np.sqrt(cfg.paths))
     rms = math.sqrt(msq)
     rms_se = msq_se / (2.0 * rms) if rms > 0 else 0.0
     res.rows.append((cfg.N, cfg.t, "decomposition_residual_rms", rms, rms_se))
 
-    rbv = rev.boundary_values()
-    curve = quadratic_covariation(grid, 2.0 * rbv, rbv)
+    curve = quadratic_covariation(grid, q, rbv)
     for tt in (0.25, 0.5, 0.75, 1.0):
         vals = curve[:, grid.boundary_index(tt)]
         gap = float(np.mean(vals) - 2.0 * tt)

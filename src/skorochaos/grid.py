@@ -8,7 +8,8 @@ Cell indices are 1-based; boundary indices run 0..n with boundary i at
 ``i * delta``.  Every time argument below the command line is a boundary
 index; ``Grid.boundary_index`` turns a grid-aligned float time into one
 where a config value holds it, and ``Grid.check_interval`` is the one
-check that an index pair is integral and in range.
+check that an index pair is integral and in range.  The map runs one way:
+no index becomes a float time again.
 
 The second half of the module implements the region combinatorics used by
 the finite-chaos representation of Skorohod integral processes: for a point
@@ -72,11 +73,6 @@ class Grid:
         if abs(raw - idx) > _ALIGN_TOL * self.n_cells or not 0 <= idx <= self.n_cells:
             raise ValueError(f"time {t!r} is not a boundary of a {self.n_cells}-cell grid")
         return idx
-
-    def boundary_value(self, i: int) -> float:
-        if not 0 <= i <= self.n_cells:
-            raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
-        return i * self.delta
 
     def check_interval(self, a: int, b: int) -> None:
         """Raise unless (a, b] is an interval of boundary indices, 0 <= a <= b <= n."""

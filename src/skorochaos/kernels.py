@@ -409,6 +409,8 @@ def region_kernels(
         raise ValueError(f"need one integrand part per cell, got {len(parts)}")
     support: set[tuple[int, ...]] = set()
     for f in snapshots:
+        if f.grid != grid or f.order != l:
+            raise ValueError("snapshot differs from the map in grid or order")
         support.update(f.data)
     out: list[dict[tuple[int, ...], float]] = [{} for _ in range(l + 1)]
     for mu in support:

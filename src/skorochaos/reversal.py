@@ -14,14 +14,14 @@ path is again exact kernel algebra.  The pieces here:
   * the cumulative pathwise quadratic covariation (bracket) curve of two
     boundary-sampled paths and the forward-plus-bracket decomposition of
     the representation, whose residual is a pure quadratic-variation
-    fluctuation.
+    fluctuation.  The decomposition check takes the integrand already
+    sampled at the reversed boundaries, so every time here stays a
+    boundary index and none becomes a float time again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "backward_ito_eval",
     "hermite_projection",
     "quadratic_covariation",
-    "PhiSpec",
     "semimartingale_decomposition_check",
 ]
 
@@ -143,63 +142,37 @@ def quadratic_covariation(grid: Grid, U: np.ndarray, V: np.ndarray) -> np.ndarra
     )
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Integrand of functional form: fn(alpha, coordinates of the reversed path).
-
-    Each step function g contributes the coordinate X̂(g 1_[0, alpha]);
-    fn is evaluated at every reversed boundary; the bracket terms assume it
-    is continuously differentiable.
-    """
-
-    fn: Callable[..., np.ndarray]
-    steps: tuple[StepFunction, ...] = ()
-
-    def sample_boundaries(self, rev: PathBatch) -> np.ndarray:
-        """Values at reversed boundaries 0..n, shape (count, n + 1)."""
-        grid = rev.grid
-        n = grid.n_cells
-        coords = []
-        for g in self.steps:
-            inc = rev.increments * g.values
-            coords.append(np.concatenate([np.zeros((rev.count, 1)), np.cumsum(inc, axis=1)], axis=1))
-        out = np.empty((rev.count, n + 1))
-        for m in range(n + 1):
-            alpha = grid.boundary_value(m)
-            out[:, m] = np.broadcast_to(
-                np.asarray(self.fn(alpha, *(c[:, m] for c in coords)), dtype=np.float64),
-                (rev.count,),
-            )
-        return out
-
-
 def semimartingale_decomposition_check(
-    spec: PhiSpec, y: np.ndarray, batch: PathBatch, b: int
+    q: np.ndarray, y: np.ndarray, batch: PathBatch, b: int
 ) -> np.ndarray:
     """Residual of y_t at t = t_b, sampled on batch, against its forward sum and brackets.
 
-    The decomposition reads y_t = (forward sum of the reversed integrand)
-    - bracket at 1 + bracket at 1 - t, with the bracket taken between the
-    integrand samples and the reversed path; 1 - t is reversed boundary
-    n - b.  The forward sum pairs the increment of forward cell k with the
-    integrand sampled at reversed boundary n + 1 - k (the left endpoint in
-    forward time).  The residual y - (sum - b_1 + b_{1-t}) collects pure
-    quadratic-variation noise and vanishes in probability as the grid
-    refines.
+    q is the integrand sampled at reversed boundaries 0..n, shape (count,
+    n + 1), and y holds one value per path.  The decomposition reads y_t =
+    (forward sum of the reversed integrand) - bracket at 1 + bracket at
+    1 - t, with the bracket taken between q and the reversed path; 1 - t
+    is reversed boundary n - b.  The forward sum pairs the increment of
+    forward cell k with q at reversed boundary n + 1 - k (the left
+    endpoint in forward time).  The residual y - (sum - b_1 + b_{1-t})
+    collects pure quadratic-variation noise and vanishes in probability as
+    the grid refines.
     """
     grid = batch.grid
     grid.check_interval(0, b)
     n = grid.n_cells
-    rev = reverse_batch(batch)
-    Q = spec.sample_boundaries(rev)
+    q = np.asarray(q, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if q.shape != (batch.count, n + 1) or y.shape != (batch.count,):
+        raise ValueError(
+            f"need q of shape ({batch.count}, {n + 1}) and y of shape ({batch.count},), got {q.shape} and {y.shape}"
+        )
 
     ito = np.zeros(batch.count)
     for k in range(1, b + 1):
-        ito += Q[:, n + 1 - k] * batch.increments[:, k - 1]
+        ito += q[:, n + 1 - k] * batch.increments[:, k - 1]
 
-    dq = np.diff(Q, axis=1)
-    prods = dq * rev.increments
+    # reversed cell j holds the increment of forward cell n + 1 - j
+    prods = np.diff(q, axis=1) * batch.increments[:, ::-1]
     bracket_full = np.sum(prods, axis=1)
     bracket_tail = np.sum(prods[:, : n - b], axis=1)
     return y - (ito - bracket_full + bracket_tail)

@@ -469,11 +469,11 @@ def region_energy_bound(kernels: dict[tuple[int, int], SymKernel]) -> float:
 
     This quantity is dominated by the max increment energy of the
     integral process; it is the exact-model face of the variation bound.
+    An order l counts when any f_{l,q} is stored; an absent one reads 0.
     """
     total = 0.0
-    orders = sorted({l for l, _ in kernels})
-    for l in orders:
-        grid = kernels[(l, 0)].grid if (l, 0) in kernels else kernels[(l, 1)].grid
+    grids = {l: f.grid for (l, _), f in kernels.items()}
+    for l, grid in sorted(grids.items()):
         prev = SymKernel.zero(grid, l)
         for q in range(1, l + 1):
             cur = kernels.get((l, q), SymKernel.zero(grid, l))

@@ -19,7 +19,6 @@ from skorochaos import (
     Grid,
     GridStoppingTime,
     Partition,
-    PhiSpec,
     StepFunction,
     backward_ito_eval,
     brownian_path_process,
@@ -97,9 +96,10 @@ def test_criterion_05_two_sided_approximation():
     res = run_ok("theorem1", 30.0, N=16, depth=4, seed=1)
     grid = Grid(16)
     u = brownian_terminal_process(grid).add(brownian_path_process(grid))
+    v = ito_skorohod_integrand(u)
     batch = sample_paths(grid, 200, seed=77)
     for d in range(1, 5):
-        _, step, bf = two_sided_approximation(u, Partition.dyadic(grid, d))
+        step, bf = two_sided_approximation(v, Partition.dyadic(grid, d))
         zc = bf.as_skorohod().eval_batch(batch)
         yc = projected_synthesis_process(step).eval_batch(batch)
         assert float(np.max(np.abs(zc - yc))) <= PATHWISE
@@ -149,11 +149,11 @@ def test_criterion_07_decomposition_residual_scaling():
     def decomposition_rms(N):
         grid = Grid(N)
         batch = sample_paths(grid, 10_000, seed=5)
-        spec = PhiSpec(fn=lambda a, x: 2.0 * x, steps=(StepFunction.constant(grid, 1.0),))
+        q = 2.0 * reverse_batch(batch).boundary_values()
         bv = batch.boundary_values()
         k = N // 2
         y = 2.0 * bv[:, -1] * bv[:, k] - bv[:, k] ** 2 - 0.5
-        residual = semimartingale_decomposition_check(spec, y, batch, k)
+        residual = semimartingale_decomposition_check(q, y, batch, k)
         return float(np.sqrt(np.mean(residual**2)))
 
     rmses = [decomposition_rms(N) for N in (64, 128, 256)]

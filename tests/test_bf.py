@@ -16,6 +16,7 @@ from skorochaos import (
     eval_functional,
     first_order,
     from_step,
+    ito_skorohod_integrand,
     max_increment_energy,
     multiply,
     projected_synthesis_process,
@@ -83,7 +84,7 @@ def test_split_rejects_window_support(grid8):
 
 def test_forward_factor_is_a_martingale(grid8):
     u = brownian_terminal_process(grid8)
-    _, _, bf = two_sided_approximation(u, Partition.dyadic(grid8, 1))
+    _, bf = two_sided_approximation(ito_skorohod_integrand(u), Partition.dyadic(grid8, 1))
     s = bf.summands[0]
     for b2 in range(grid8.n_cells + 1):
         later = s.forward_martingale(b2)
@@ -94,7 +95,7 @@ def test_forward_factor_is_a_martingale(grid8):
 
 def test_backward_factor_is_a_reverse_martingale(grid8):
     u = brownian_terminal_process(grid8).add(brownian_path_process(grid8))
-    _, _, bf = two_sided_approximation(u, Partition.dyadic(grid8, 1))
+    _, bf = two_sided_approximation(ito_skorohod_integrand(u), Partition.dyadic(grid8, 1))
     s = bf.summands[0]
     for b1 in range(grid8.n_cells + 1):
         early = s.backward_martingale(b1)
@@ -105,7 +106,7 @@ def test_backward_factor_is_a_reverse_martingale(grid8):
 
 def test_summand_value_is_pathwise_product(grid8, batch8):
     u = brownian_terminal_process(grid8).add(brownian_path_process(grid8))
-    _, _, bf = two_sided_approximation(u, Partition.dyadic(grid8, 1))
+    _, bf = two_sided_approximation(ito_skorohod_integrand(u), Partition.dyadic(grid8, 1))
     for s in bf.summands:
         for b in (0, 3, 4, 6, 8):
             got = eval_functional(s.value_at(b), batch8)
@@ -117,7 +118,7 @@ def test_summand_value_is_pathwise_product(grid8, batch8):
 
 def test_summand_windows_follow_partition(grid8):
     u = brownian_terminal_process(grid8)
-    _, step, bf = two_sided_approximation(u, Partition.dyadic(grid8, 2))
+    step, bf = two_sided_approximation(ito_skorohod_integrand(u), Partition.dyadic(grid8, 2))
     intervals = set(step.partition.intervals())
     assert {(s.lo, s.hi) for s in bf.summands} <= intervals
 
@@ -127,8 +128,9 @@ def test_two_sided_process_matches_projected_synthesis(grid8):
         brownian_terminal_process(grid8),
         brownian_terminal_process(grid8).add(brownian_path_process(grid8)),
     ):
+        v = ito_skorohod_integrand(u)
         for d in (1, 2):
-            _, step, bf = two_sided_approximation(u, Partition.dyadic(grid8, d))
+            step, bf = two_sided_approximation(v, Partition.dyadic(grid8, d))
             Z = bf.as_skorohod()
             direct = projected_synthesis_process(step)
             worst = max(
@@ -142,8 +144,9 @@ def test_energy_halves_with_depth(grid16):
     # u = X_1 + X_alpha: residual energy is exactly 4.5 per halving
     u = brownian_terminal_process(grid16).add(brownian_path_process(grid16))
     Y = skorohod_process(u)
+    v = ito_skorohod_integrand(u)
     for d in range(4):
-        _, _, bf = two_sided_approximation(u, Partition.dyadic(grid16, d))
+        _, bf = two_sided_approximation(v, Partition.dyadic(grid16, d))
         vhat = max_increment_energy(Y.sub(bf.as_skorohod())).value
         assert vhat == pytest.approx(4.5 * 2.0**-d, rel=1e-12)
 
@@ -151,9 +154,9 @@ def test_energy_halves_with_depth(grid16):
 @pytest.mark.parametrize("n", [8, 16])
 def test_cached_forward_factor_keeps_every_bit_and_key(n):
     grid = Grid(n)
-    u = brownian_terminal_process(grid).add(brownian_path_process(grid))
+    v = ito_skorohod_integrand(brownian_terminal_process(grid).add(brownian_path_process(grid)))
     for d in range(n.bit_length()):
-        _, _, bf = two_sided_approximation(u, Partition.dyadic(grid, d))
+        _, bf = two_sided_approximation(v, Partition.dyadic(grid, d))
         Z = bf.as_skorohod()
         for b in range(n + 1):
             # fresh summands have nothing cached, so each factor is built for this b alone

@@ -322,9 +322,9 @@ def test_theorem1_builds_each_forward_factor_once_per_window_boundary(monkeypatc
     counting(monkeypatch, "first_order", (bf,), built)
     original = experiments.two_sided_approximation
 
-    def kept(u, partition):
-        out = original(u, partition)
-        families.append(out[2])
+    def kept(v, partition):
+        out = original(v, partition)
+        families.append(out[1])
         return out
 
     monkeypatch.setattr(experiments, "two_sided_approximation", kept)
@@ -332,6 +332,16 @@ def test_theorem1_builds_each_forward_factor_once_per_window_boundary(monkeypatc
     assert len(families) == 5
     assert built
     assert len(built) <= sum(s.hi - s.lo + 1 for family in families for s in family.summands)
+
+
+def test_theorem1_builds_the_forward_form_integrand_once(monkeypatch):
+    from skorochaos import bf, experiments, skorohod
+
+    calls = []
+    counting(monkeypatch, "ito_skorohod_integrand", (skorohod, bf, experiments), calls)
+    res = run_experiment(ExperimentConfig(experiment="theorem1", N=16, depth=4))
+    assert res.ok, res.failures
+    assert len(calls) == 1
 
 
 def test_cli_reports_failures(monkeypatch, capsys):

@@ -24,7 +24,7 @@ def test_boundary_round_trip():
     for n in range(1, 129):
         grid = Grid(n)
         for b in range(n + 1):
-            t = grid.boundary_value(b)
+            t = b * grid.delta
             assert grid.boundary_index(t) == b
             assert grid.boundary_index(1.0 - t) == n - b
 

@@ -183,6 +183,9 @@ def test_validation_errors():
         region_kernels(GRID4, 1, [], [1.0] * 3)
     with pytest.raises(ValueError):
         region_kernels(GRID4, 0, [], [1.0] * 4)      # order range
+    for snapshot in (SymKernel(Grid(8), 1, {(8,): 1.0}), kernel_a()):   # other grid, other order
+        with pytest.raises(ValueError, match="grid or order"):
+            region_kernels(GRID4, 1, [snapshot], [1.0] * 4)
     empty = ChaosFunctional(GRID4)                    # no kernels to reach project
     for a, b in ((3, 2), (0, 5), (-1, 2)):           # a > b, b > N, a < 0
         with pytest.raises(ValueError, match="interval"):

@@ -23,7 +23,6 @@ def data_reads(path):
 
 
 TIME_TO_INDEX = {"grid.py", "experiments.py", "stopping.py"}
-NO_INDEX_TO_TIME = {"skorohod.py", "bf.py", "paths.py"}
 
 
 def method_calls(path, name):
@@ -37,15 +36,11 @@ def method_calls(path, name):
 
 def test_times_become_indices_only_at_the_edge():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert TIME_TO_INDEX | NO_INDEX_TO_TIME <= {p.name for p in modules}
+    assert TIME_TO_INDEX <= {p.name for p in modules}
     to_index = [
         f"{p.name}:{line}" for p in modules if p.name not in TIME_TO_INDEX for line in method_calls(p, "boundary_index")
     ]
-    to_time = [
-        f"{p.name}:{line}" for p in modules if p.name in NO_INDEX_TO_TIME for line in method_calls(p, "boundary_value")
-    ]
     assert to_index == [], f"boundary_index called below the experiment layer: {to_index}"
-    assert to_time == [], f"boundary_value called in an index-only module: {to_time}"
 
 
 def test_only_kernels_reads_kernel_storage():

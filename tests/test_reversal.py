@@ -6,7 +6,6 @@ import pytest
 from skorochaos import (
     ChaosFunctional,
     ChaosProcess,
-    PhiSpec,
     StepFunction,
     backward_ito_eval,
     clark_ocone_integrand,
@@ -53,7 +52,7 @@ def test_difference_representation_closed_form(grid8, batch8):
     walk = batch8.boundary_values()
     x1 = walk[:, -1]
     for b in range(grid8.n_cells + 1):
-        t = grid8.boundary_value(b)
+        t = b * grid8.delta
         want = 2.0 * x1 * walk[:, b] - walk[:, b] ** 2 - t
         got = eval_functional(tail_difference(F, b), batch8)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -128,7 +127,7 @@ def test_hermite_projection_degenerate_tail(grid8, batch8):
 
 def test_reversal_index_apis_reject_float_times(grid8, batch8):
     F = quadratic_terminal(grid8)
-    spec = PhiSpec(fn=lambda alpha, x: 2.0 * x, steps=(StepFunction.constant(grid8, 1.0),))
+    q = 2.0 * reverse_batch(batch8).boundary_values()
     with pytest.raises(ValueError, match="integer boundary indices"):
         tail_difference(F, 0.5)
     with pytest.raises(ValueError, match="integer boundary indices"):
@@ -136,7 +135,7 @@ def test_reversal_index_apis_reject_float_times(grid8, batch8):
     with pytest.raises(ValueError, match="integer boundary indices"):
         hermite_projection(2, StepFunction.constant(grid8, 1.0), 0.5, batch8)
     with pytest.raises(ValueError, match="integer boundary indices"):
-        semimartingale_decomposition_check(spec, exact_quadratic_y(batch8, 4), batch8, 0.5)
+        semimartingale_decomposition_check(q, exact_quadratic_y(batch8, 4), batch8, 0.5)
 
 
 def test_hermite_projection_needs_unit_norm(grid8, batch8):
@@ -158,30 +157,30 @@ def test_quadratic_covariation_deterministic(grid16):
         quadratic_covariation(grid16, U[:, :-1], U[:, :-1])
 
 
-def test_phispec_samples_reversed_coordinates(grid8, batch8):
-    g = StepFunction.indicator(grid8, 0, 4)
-    spec = PhiSpec(fn=lambda alpha, x: alpha + 3.0 * x, steps=(g,))
-    rev = reverse_batch(batch8)
-    got = spec.sample_boundaries(rev)
-    coord = np.concatenate(
-        [np.zeros((rev.count, 1)), np.cumsum(rev.increments * g.values, axis=1)],
-        axis=1,
-    )
-    alphas = np.array([grid8.boundary_value(b) for b in range(grid8.n_cells + 1)])
-    want = alphas[None, :] + 3.0 * coord
-    np.testing.assert_allclose(got, want, atol=1e-14)
-
-
 def exact_quadratic_y(batch, b):
     walk = batch.boundary_values()
-    t = batch.grid.boundary_value(b)
+    t = b * batch.grid.delta
     return 2.0 * walk[:, -1] * walk[:, b] - walk[:, b] ** 2 - t
 
 
 def test_decomposition_residual_is_forward_fluctuation(grid16):
     batch = sample_paths(grid16, 500, seed=7)
-    spec = PhiSpec(fn=lambda alpha, x: 2.0 * x, steps=(StepFunction.constant(grid16, 1.0),))
+    q = 2.0 * reverse_batch(batch).boundary_values()
     for b in (4, 12, 16):
-        residual = semimartingale_decomposition_check(spec, exact_quadratic_y(batch, b), batch, b)
+        residual = semimartingale_decomposition_check(q, exact_quadratic_y(batch, b), batch, b)
         want = np.sum(batch.increments[:, :b] ** 2 - grid16.delta, axis=1)
         np.testing.assert_allclose(residual, want, atol=1e-12)
+
+
+def test_decomposition_check_rejects_misshapen_samples(grid8, batch8):
+    q = 2.0 * reverse_batch(batch8).boundary_values()
+    y = exact_quadratic_y(batch8, 4)
+    for bad_q, bad_y in (
+        (q[:, :-1], y),            # one boundary short
+        (q[:-1], y),               # one path short
+        (q[:, 1], y),              # one boundary only
+        (q, y[:, None]),           # a column, which would broadcast to (count, count)
+        (q, y[:-1]),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            semimartingale_decomposition_check(bad_q, bad_y, batch8, 4)

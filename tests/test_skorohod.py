@@ -54,7 +54,7 @@ def test_terminal_integrand_closed_form(grid8, batch8):
     Y = skorohod_process(brownian_terminal_process(grid8))
     bv = batch8.boundary_values()
     for b in (0, 2, 5, 8):
-        t = grid8.boundary_value(b)
+        t = b * grid8.delta
         got = eval_functional(Y.at_boundary(b), batch8)
         np.testing.assert_allclose(got, bv[:, -1] * bv[:, b] - t, atol=1e-12)
 
@@ -210,7 +210,7 @@ def test_product_sum_synthesis_equals_direct_integral(grid8, batch8):
     step = step_approximation(v, Partition.dyadic(grid8, 1))
     curve = skorohod_process(step.as_process()).eval_batch(batch8)
     for b in (0, 2, 4, 8):
-        t = grid8.boundary_value(b)
+        t = b * grid8.delta
         np.testing.assert_allclose(
             curve[:, b], product_sum(step, batch8, t), atol=1e-12
         )
@@ -284,6 +284,17 @@ def test_read_off_against_another_process_leaves_a_residual(grid8):
         for b in range(grid8.n_cells + 1)
     )
     assert worst > 1e-3
+    # a process on a finer grid has cells the integrand does not reach
+    finer = skorohod_process(brownian_terminal_process(Grid(16)))
+    with pytest.raises(ValueError, match="grid or order"):
+        extract_region_kernels(u, finer)
+
+
+def test_region_energy_bound_reads_an_absent_kernel_as_zero(grid8):
+    f = tensor_power(StepFunction.constant(grid8, 1.0), 2)
+    got = region_energy_bound({(2, 2): f})
+    assert got.hex() == region_energy_bound({(2, 1): SymKernel.zero(grid8, 2), (2, 2): f}).hex()
+    assert got == pytest.approx(2.0 * f.norm_sq(), rel=1e-12)
 
 
 def step_coeff_strategy(grid):
