@@ -43,6 +43,7 @@ from .skorohod import (
     projected_synthesis_process,
     region_energy_bound,
     resynthesize,
+    resynthesis_residual,
     skorohod_integral,
     skorohod_process,
     step_approximation,
@@ -105,6 +106,7 @@ __all__ = [
     "projected_synthesis_process",
     "region_energy_bound",
     "resynthesize",
+    "resynthesis_residual",
     "skorohod_integral",
     "skorohod_process",
     "step_approximation",

@@ -92,8 +92,17 @@ class BFSummand:
         return multiply(self.forward, first_order(StepFunction.indicator(self.grid, self.lo, z)))
 
     def backward_martingale(self, b: int) -> ChaosFunctional:
-        """E[G2 | increments after boundary max(b, hi)]."""
-        return conditional_expectation(self.backward, 0, max(b, self.hi))
+        """E[G2 | increments after boundary max(b, hi)].
+
+        Up to b = hi this is the factor conditioned past the window end, built once per summand.
+        """
+        if b <= self.hi:
+            return self._backward_past_window
+        return conditional_expectation(self.backward, 0, b)
+
+    @cached_property
+    def _backward_past_window(self) -> ChaosFunctional:
+        return conditional_expectation(self.backward, 0, self.hi)
 
     def value_at(self, b: int) -> ChaosFunctional:
         """The summand M_t N_t at a boundary, as an exact product."""

@@ -46,7 +46,7 @@ from .skorohod import (
     max_martingale_defect,
     projected_synthesis_process,
     region_energy_bound,
-    resynthesize,
+    resynthesis_residual,
     skorohod_process,
     step_approximation,
 )
@@ -328,11 +328,7 @@ def _run_ducnualart(cfg: ExperimentConfig) -> ExperimentResult:
     u = _ducnualart_integrand(grid)
     Y = skorohod_process(u)
     kernels = extract_region_kernels(u, Y)
-    rebuilt = resynthesize(grid, kernels)
-    resid = max(
-        Y.at_boundary(b).max_abs_diff(rebuilt.at_boundary(b))
-        for b in range(grid.n_cells + 1)
-    )
+    resid = resynthesis_residual(Y, kernels)
     lhs = region_energy_bound(kernels)
     vhat = max_increment_energy(Y).value
     for l, q in sorted(kernels):

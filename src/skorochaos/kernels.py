@@ -13,12 +13,23 @@ algebra needed by the chaos calculus: symmetrized tensor products and
 contractions, projections that condition on the increments outside an
 interval, restriction by the number of variables below a boundary, time
 reversal, the cell maps of the Malliavin derivative and the Skorohod
-integral, the read-off of the Duc-Nualart region kernels f_{l,q} of
-an integral process, and the spread of an integral process's values
-between the cells of each multiset, which sizes its martingale defect.
+integral, and the read-off of the Duc-Nualart region kernels f_{l,q} of
+an integral process.
+
+An integral process is read here too, one order at a time, into a
+``ValueTable``: ``value_table`` reads the order-l kernels of the N+1
+snapshots in one pass into a (N+1, M) float64 array over the M multisets
+that any snapshot stores (0.0 where one lacks a multiset), with each
+snapshot's dict key order as an index array, ``orderings(mu)`` as float
+weights and the cells as an (M, l) array.  ``region_table`` reads the
+region kernels f_{l,0..l} into the same columns.  The increment energy,
+the resynthesis residual and the martingale defect of ``skorohod.py`` are
+array reductions over these tables; ``ValueTable.max_gap_spread`` is the
+one that sizes the defect.
 
 This is the only module that builds, edits or checks a multiset; others
-read kernels through ``items()``, ``value()``, ``len()`` and ``cells()``.
+read kernels through ``items()``, ``value()``, ``len()``, ``cells()`` and
+the value tables.
 Multisets are checked once, where they enter: the public ``SymKernel``
 constructor.  The maps build their results through a private
 constructor, ``SymKernel._built``, that only drops zeros.  It takes over
@@ -38,8 +49,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .grid import Grid
 from .paths import StepFunction
@@ -58,6 +72,9 @@ __all__ = [
     "add_cell",
     "move_cell",
     "region_kernels",
+    "ValueTable",
+    "value_table",
+    "region_table",
     "max_gap_spread",
     "tensor_power",
     "from_step",
@@ -427,36 +444,138 @@ def region_kernels(
     return [SymKernel._built(grid, l, d) for d in out]
 
 
-def max_gap_spread(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -> float:
-    """Largest fl(max - min) of a multiset's values over one gap of its cells.
+@dataclass(frozen=True, eq=False)
+class ValueTable:
+    """Order-``order`` kernels read into arrays, one row per kernel.
 
-    snapshots holds one order-``order`` kernel per boundary 0..n_cells
-    (None where the order is absent); a multiset a snapshot lacks reads
-    0.0 there.  The gaps of mu = (c_1 <= ... <= c_l) are the runs of
-    boundaries with the same count of cells at or before them: 0..c_1 - 1,
-    c_1..c_2 - 1, ..., c_l..n_cells.  The result is at least +0.0.
+    ``multisets`` lists every multiset a row stores, in first-seen order,
+    and fixes the columns.  ``values`` is float64 (rows, M), 0.0 where a
+    row lacks the multiset; a stored value is never zero, so 0.0 means
+    absent.  ``key_order[r]`` holds the columns of row r's multisets in
+    that kernel's dict order.  ``weights`` is ``orderings(mu)`` as float64
+    and ``cells`` the sorted cells, intp (M, order).
+    """
+
+    grid: Grid
+    order: int
+    multisets: tuple[tuple[int, ...], ...]
+    values: np.ndarray
+    key_order: tuple[np.ndarray, ...]
+    weights: np.ndarray
+    cells: np.ndarray
+
+    def max_gap_spread(self) -> float:
+        """Largest fl(max - min) of a column over one gap of its cells.
+
+        The rows are the boundaries 0..n_cells.  The gaps of mu = (c_1 <=
+        ... <= c_l) are the runs of boundaries with the same count of cells
+        at or before them: 0..c_1 - 1, c_1..c_2 - 1, ..., c_l..n_cells.  A
+        running max and min per column restart where a gap starts; the
+        spread of a partial gap is at most that of its gap, since rounding
+        is monotone, and equals it at the gap's last boundary.  So the
+        largest spread seen over the rows is the largest over the gaps,
+        and the result is at least +0.0.
+        """
+        rows, m = self.values.shape
+        if not m:
+            return 0.0
+        starts = np.zeros((rows, m), dtype=bool)
+        starts[self.cells, np.arange(m)[:, None]] = True
+        hi, lo = self.values[0].copy(), self.values[0].copy()
+        worst = 0.0
+        for row, start in zip(self.values[1:], starts[1:]):
+            np.maximum(hi, row, out=hi)
+            np.minimum(lo, row, out=lo)
+            hi[start] = row[start]
+            lo[start] = row[start]
+            spread = float((hi - lo).max())
+            if spread > worst:
+                worst = spread
+        return worst
+
+
+def _weights(cells: np.ndarray) -> np.ndarray:
+    """orderings(mu) of each sorted row: l! over the product of the multiplicities' factorials."""
+    m, l = cells.shape
+    run = np.ones(m, dtype=np.int64)
+    denom = np.ones(m, dtype=np.int64)
+    for i in range(1, l):
+        run = np.where(cells[:, i] == cells[:, i - 1], run + 1, 1)
+        denom *= run
+    return (_FACTORIALS[l] // denom).astype(np.float64)
+
+
+def _read_rows(grid: Grid, order: int, rows: Sequence[SymKernel | None], base: ValueTable | None) -> ValueTable:
+    """The rows' values over base's columns, then over the multisets only they store.
+
+    A kernel that an integral process grows by ``add`` starts with the
+    previous snapshot's keys, the same tuples in the same order, so a row
+    whose keys extend the previous row's looks up only its new ones.
+    """
+    pos: dict[tuple[int, ...], int] = {} if base is None else dict(zip(base.multisets, range(len(base.multisets))))
+    known = len(pos)
+    idxs = []
+    prev: list[tuple[int, ...]] = []
+    for f in rows:
+        if f is not None and (f.grid != grid or f.order != order):
+            raise ValueError("kernel differs from the table in grid or order")
+        keys = [] if f is None else list(f.data)
+        start = len(prev) if keys[: len(prev)] == prev else 0
+        tail = keys[start:]
+        for mu in itertools.filterfalse(pos.__contains__, tail):
+            pos[mu] = len(pos)
+        head = idxs[-1][:start] if start else np.empty(0, dtype=np.intp)
+        idxs.append(np.concatenate((head, np.fromiter(map(pos.__getitem__, tail), dtype=np.intp, count=len(tail)))))
+        prev = keys
+    multisets = tuple(pos)
+    values = np.zeros((len(rows), len(multisets)))
+    for row, f, idx in zip(values, rows, idxs):
+        if f is not None:
+            row[idx] = np.fromiter(f.data.values(), dtype=np.float64, count=len(idx))
+    extra = np.array(multisets[known:], dtype=np.intp).reshape(-1, order)
+    if base is None:
+        cells, weights = extra, _weights(extra)
+    else:
+        cells = np.concatenate((base.cells, extra))
+        weights = np.concatenate((base.weights, _weights(extra)))
+    return ValueTable(grid, order, multisets, values, tuple(idxs), weights, cells)
+
+
+def value_table(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -> ValueTable:
+    """One order of an integral process, read in one pass: row b is boundary b.
+
+    snapshots holds one order-``order`` kernel per boundary 0..n_cells,
+    None where the order is absent.
     """
     _check_shape(grid, order)
     n = grid.n_cells
     if len(snapshots) != n + 1:
         raise ValueError(f"need one snapshot per boundary 0..{n}, got {len(snapshots)}")
-    datas = []
-    for f in snapshots:
-        if f is not None and (f.grid != grid or f.order != order):
-            raise ValueError("snapshot differs from the map in grid or order")
-        datas.append({} if f is None else f.data)
-    worst = 0.0
-    for mu in set().union(*datas):
-        values = [d.get(mu, 0.0) for d in datas]
-        lo = 0
-        for c in (*mu, n + 1):
-            if c > lo:
-                gap = values[lo:c]
-                spread = max(gap) - min(gap)
-                if spread > worst:
-                    worst = spread
-                lo = c
-    return worst
+    return _read_rows(grid, order, snapshots, None)
+
+
+def region_table(table: ValueTable, regions: Mapping[int, SymKernel]) -> ValueTable:
+    """Region kernels f_{l,q} by q, read as rows q = 0..l over the table's columns.
+
+    l is the table's order and an absent q reads 0.0.  The columns start
+    with the table's, in its order; multisets that only the region kernels
+    store follow.
+    """
+    l = table.order
+    for q in regions:
+        if isinstance(q, bool) or not isinstance(q, Integral) or not 0 <= q <= l:
+            raise ValueError(f"region ({l}, {q!r}) outside q = 0..{l}")
+    return _read_rows(table.grid, l, [regions.get(q) for q in range(l + 1)], table)
+
+
+def max_gap_spread(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -> float:
+    """Largest fl(max - min) of a multiset's values over one gap of its cells.
+
+    snapshots holds one order-``order`` kernel per boundary 0..n_cells
+    (None where the order is absent); a multiset a snapshot lacks reads
+    0.0 there.  See ``ValueTable.max_gap_spread`` for the gaps.
+    """
+    return value_table(grid, order, snapshots).max_gap_spread()
 
 
 def _dense_guard(grid: Grid, order: int) -> None:

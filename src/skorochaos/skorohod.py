@@ -32,7 +32,16 @@ import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
 from .grid import Grid, Partition
-from .kernels import SymKernel, add_cell, max_gap_spread, move_cell, region_kernels, restrict_below_count
+from .kernels import (
+    SymKernel,
+    ValueTable,
+    add_cell,
+    move_cell,
+    region_kernels,
+    region_table,
+    restrict_below_count,
+    value_table,
+)
 from .paths import PathBatch
 
 __all__ = [
@@ -53,6 +62,7 @@ __all__ = [
     "max_increment_energy",
     "extract_region_kernels",
     "resynthesize",
+    "resynthesis_residual",
     "region_energy_bound",
 ]
 
@@ -172,7 +182,7 @@ class StepProcess:
 class SkorohodProcess:
     """t -> integral of u over (0, t], one chaos functional per boundary."""
 
-    __slots__ = ("grid", "functionals")
+    __slots__ = ("grid", "functionals", "_tables")
 
     def __init__(self, grid: Grid, functionals: Sequence[ChaosFunctional]):
         functionals = tuple(functionals)
@@ -183,11 +193,24 @@ class SkorohodProcess:
                 raise ValueError("functional grid differs from process grid")
         self.grid = grid
         self.functionals = functionals
+        self._tables: dict[int, ValueTable] = {}
 
     def at_boundary(self, i: int) -> ChaosFunctional:
         if not 0 <= i <= self.grid.n_cells:
             raise ValueError(f"boundary index {i} out of range 0..{self.grid.n_cells}")
         return self.functionals[i]
+
+    def orders(self) -> list[int]:
+        """The kernel orders that some snapshot stores, ascending."""
+        return sorted({n for F in self.functionals for n in F.kernels})
+
+    def value_table(self, order: int) -> ValueTable:
+        """The order-``order`` kernels of all snapshots as a ``ValueTable``, read once per process."""
+        table = self._tables.get(order)
+        if table is None:
+            table = value_table(self.grid, order, [F.kernels.get(order) for F in self.functionals])
+            self._tables[order] = table
+        return table
 
     def sub(self, other: "SkorohodProcess") -> "SkorohodProcess":
         if other.grid != self.grid:
@@ -302,8 +325,8 @@ def max_martingale_defect(Y: SkorohodProcess) -> float:
     """
     means = [F.mean for F in Y.functionals]
     worst = max(means) - min(means)
-    for l in range(1, max(F.max_order for F in Y.functionals) + 1):
-        worst = max(worst, max_gap_spread(Y.grid, l, [F.kernels.get(l) for F in Y.functionals]))
+    for l in Y.orders():
+        worst = max(worst, Y.value_table(l).max_gap_spread())
     return worst
 
 
@@ -377,14 +400,18 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     from .paths import StepFunction
 
     grid = step.grid
+    intervals = list(step.partition.intervals())
+    # up to b = hi an interval's coefficient is conditioned on (lo, hi]: build it once
+    within = [conditional_expectation(F, lo, hi) for (lo, hi), F in zip(intervals, step.values)]
     snapshots = [ChaosFunctional(grid, 0.0, {})]
     for b in range(1, grid.n_cells + 1):
         total = ChaosFunctional(grid, 0.0, {})
-        for (lo, hi), F in zip(step.partition.intervals(), step.values):
+        for (lo, hi), F, coef in zip(intervals, step.values, within):
             if lo >= b:
                 continue
             z = min(hi, b)
-            coef = conditional_expectation(F, lo, max(hi, b))
+            if b > hi:
+                coef = conditional_expectation(F, lo, b)
             inc = first_order(StepFunction.indicator(grid, lo, z))
             total = total.add(multiply(coef, inc))
         snapshots.append(total)
@@ -410,19 +437,41 @@ class EnergyReport:
     by_depth: tuple[tuple[int, float], ...]
 
 
+def _increment_second_moment(Y: SkorohodProcess, lo: int, hi: int) -> float:
+    """Y.at_boundary(hi).sub(Y.at_boundary(lo)).second_moment(), bit for bit, from the value tables.
+
+    ``sub`` stores the difference under hi's kernel orders, then lo's
+    others, and each kernel's multisets in hi's key order, then lo's
+    others; each d = hi - lo is the value ``add`` forms.  The kernel sums
+    d * d * orderings in that order, one after another as ``sum`` does, so
+    a sequential ``np.cumsum`` gives its bits.  The difference drops a d
+    of 0.0 and the table keeps it, but adding +0.0 to a sum of squares
+    changes nothing.
+    """
+    hi_f, lo_f = Y.functionals[hi], Y.functionals[lo]
+    variance = 0
+    for n in [*hi_f.kernels, *(n for n in lo_f.kernels if n not in hi_f.kernels)]:
+        table = Y.value_table(n)
+        lo_keys = table.key_order[lo]
+        keys = np.concatenate((table.key_order[hi], lo_keys[table.values[hi, lo_keys] == 0.0]))
+        d = table.values[hi, keys] - table.values[lo, keys]
+        inner = float(np.cumsum(d * d * table.weights[keys])[-1]) * Y.grid.delta**n
+        variance += math.factorial(n) * inner
+    mean = hi_f.mean + lo_f.mean * -1.0
+    return mean**2 + variance
+
+
 def max_increment_energy(Y: SkorohodProcess) -> EnergyReport:
     """Max over dyadic partitions of sum_j E[(Y_{t_{j+1}} - Y_{t_j})^2].
 
     The family runs from the trivial partition {0, 1} down to single
-    cells; every expectation is computed from the kernels.
+    cells; every expectation is computed from the kernels, through the
+    process's value tables.
     """
     rows = []
     for part in Partition.dyadic_family(Y.grid):
         depth = part.n_intervals.bit_length() - 1
-        energy = sum(
-            Y.at_boundary(hi).sub(Y.at_boundary(lo)).second_moment()
-            for lo, hi in part.intervals()
-        )
+        energy = sum(_increment_second_moment(Y, lo, hi) for lo, hi in part.intervals())
         rows.append((depth, energy))
     return EnergyReport(max(energy for _, energy in rows), tuple(rows))
 
@@ -435,8 +484,9 @@ def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess | None = None) ->
     diagonal ones.  On the region where exactly q cells of mu lie at or
     before t this equals the integral's order-l kernel at time t.  Y (the
     integral of u when None) supplies the orders and multisets, u the
-    values; ``resynthesize`` is the check that they are Y's values, since
-    the process it rebuilds must equal Y at every boundary.
+    values; ``resynthesis_residual`` is the check that they are Y's
+    values, since the process ``resynthesize`` rebuilds must equal Y at
+    every boundary.
     """
     grid = u.grid
     full = skorohod_process(u) if Y is None else Y
@@ -462,6 +512,42 @@ def resynthesize(grid: Grid, kernels: dict[tuple[int, int], SymKernel]) -> Skoro
                     ks[l] = ks[l].add(restrict_below_count(kernels[l, q], q, b))
         snapshots.append(ChaosFunctional(grid, 0.0, ks))
     return SkorohodProcess(grid, snapshots)
+
+
+def resynthesis_residual(Y: SkorohodProcess, kernels: dict[tuple[int, int], SymKernel]) -> float:
+    """max over b of |Y_b - resynthesize(grid, kernels)_b| coefficient by coefficient, bit for bit.
+
+    The rebuilt process is never built: at boundary b it holds
+    f_{l,q(mu,b)}(mu) at each multiset mu, q(mu,b) the count of mu's cells
+    at or before b, and mean 0.0.  So the residual is the largest
+    |Y_b(mu) - f_{l,q(mu,b)}(mu)| over every boundary, order and multiset
+    that Y or a region kernel stores (0.0 where none does), and |mean of
+    Y_b|.  Every candidate is a nonnegative float, so the largest is the
+    float the per-boundary ``max_abs_diff`` returns.
+    """
+    grid = Y.grid
+    by_order: dict[int, dict[int, SymKernel]] = {}
+    for (l, q), f in kernels.items():
+        by_order.setdefault(l, {})[q] = f
+    worst = max(abs(F.mean) for F in Y.functionals)
+    for l in sorted(set(Y.orders()) | set(by_order)):
+        table = Y.value_table(l)
+        regions = region_table(table, by_order.get(l, {}))
+        m = regions.values.shape[1]
+        if not m:
+            continue
+        values = table.values
+        if values.shape[1] < m:  # multisets that only the region kernels store read 0.0 in Y
+            values = np.pad(values, ((0, 0), (0, m - values.shape[1])))
+        # the count of cells at or before b grows by the cells equal to b
+        cols = np.arange(m)
+        steps = np.zeros((grid.n_cells + 1, m), dtype=np.int8)
+        np.add.at(steps, (regions.cells, cols[:, None]), 1)
+        count = np.zeros(m, dtype=np.int8)
+        for row, step in zip(values, steps):
+            count += step
+            worst = max(worst, float(np.abs(row - regions.values[count, cols]).max()))
+    return worst
 
 
 def region_energy_bound(kernels: dict[tuple[int, int], SymKernel]) -> float:

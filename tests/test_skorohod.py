@@ -1,5 +1,7 @@
 """Integral processes: closed forms, defect zeros, extraction, energies."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from skorochaos.chaos import (
     first_order,
 )
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import SymKernel, max_gap_spread, tensor_power
+from skorochaos.kernels import SymKernel, max_gap_spread, region_table, tensor_power, value_table
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
@@ -30,6 +32,7 @@ from skorochaos.skorohod import (
     max_martingale_defect,
     projected_synthesis_process,
     region_energy_bound,
+    resynthesis_residual,
     resynthesize,
     skorohod_integral,
     skorohod_process,
@@ -338,15 +341,18 @@ def per_pair_max(Y):
     return max(martingale_defect(Y, a, b) for a in range(n + 1) for b in range(a + 1, n + 1))
 
 
+SNAPSHOT_VALUES = st.one_of(
+    st.floats(-4, 4, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.30000000000000004, 5e-324]),
+)
+
+
 @st.composite
-def snapshot_processes(draw):
+def snapshot_processes(draw, sizes=(1, 2, 3, 4, 8)):
     """A process of unrelated snapshots: means of either sign or signed zero, orders 1-2 at some boundaries only."""
-    grid = Grid(draw(st.sampled_from([1, 2, 3, 4, 8])))
+    grid = Grid(draw(st.sampled_from(sizes)))
     n = grid.n_cells
-    values = st.one_of(
-        st.floats(-4, 4, allow_nan=False),
-        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.30000000000000004, 5e-324]),
-    )
+    values = SNAPSHOT_VALUES
     # a few multisets per order, so that most of them recur across boundaries
     pools = {
         l: draw(st.lists(st.lists(st.integers(1, n), min_size=l, max_size=l).map(lambda c: tuple(sorted(c))),
@@ -388,3 +394,216 @@ def test_max_gap_spread_checks_its_snapshots(grid8):
     with pytest.raises(ValueError, match="grid or order"):
         max_gap_spread(grid8, 1, [f] * 9)
     assert max_gap_spread(grid8, 2, [None] * 9) == 0.0
+
+
+# The snapshot bodies that the value tables replaced, kept as oracles: each
+# builds the dict kernels of a difference or a rebuilt process per interval
+# or per boundary.
+
+
+def oracle_increment_energy(Y):
+    rows = []
+    for part in Partition.dyadic_family(Y.grid):
+        energy = sum(Y.at_boundary(hi).sub(Y.at_boundary(lo)).second_moment() for lo, hi in part.intervals())
+        rows.append((part.n_intervals.bit_length() - 1, energy))
+    return rows
+
+
+def oracle_resynthesis_residual(Y, kernels):
+    rebuilt = resynthesize(Y.grid, kernels)
+    return max(Y.at_boundary(b).max_abs_diff(rebuilt.at_boundary(b)) for b in range(Y.grid.n_cells + 1))
+
+
+def oracle_max_gap_spread(grid, order, snapshots):
+    datas = [{} if f is None else dict(f.items()) for f in snapshots]
+    worst = 0.0
+    for mu in set().union(*datas):
+        values = [d.get(mu, 0.0) for d in datas]
+        lo = 0
+        for c in (*mu, grid.n_cells + 1):
+            if c > lo:
+                gap = values[lo:c]
+                spread = max(gap) - min(gap)
+                if spread > worst:
+                    worst = spread
+                lo = c
+    return worst
+
+
+def hexes(rows):
+    return [(depth, energy.hex()) for depth, energy in rows]
+
+
+def assert_tables_match_oracles(Y, kernels=None):
+    if Y.grid.n_cells & (Y.grid.n_cells - 1) == 0:
+        assert hexes(max_increment_energy(Y).by_depth) == hexes(oracle_increment_energy(Y))
+    assert max_martingale_defect(Y).hex() == per_pair_max(Y).hex()
+    for l in Y.orders():
+        snapshots = [F.kernels.get(l) for F in Y.functionals]
+        assert max_gap_spread(Y.grid, l, snapshots).hex() == oracle_max_gap_spread(Y.grid, l, snapshots).hex()
+    if kernels is not None:
+        assert resynthesis_residual(Y, kernels).hex() == oracle_resynthesis_residual(Y, kernels).hex()
+
+
+@st.composite
+def read_off_cases(draw, sizes=(1, 2, 3, 4, 8)):
+    """A snapshot process and region kernels on Y's multisets and on others, some (l, q) absent."""
+    Y = draw(snapshot_processes(sizes))
+    n = Y.grid.n_cells
+    kernels = {}
+    for l in (1, 2):
+        stored = sorted({mu for F in Y.functionals if l in F.kernels for mu, _ in F.kernels[l].items()})
+        fresh = st.lists(st.integers(1, n), min_size=l, max_size=l).map(lambda c: tuple(sorted(c)))
+        pool = st.sampled_from(stored) | fresh if stored else fresh
+        for q in range(l + 1):
+            if draw(st.booleans()):
+                kernels[l, q] = SymKernel(Y.grid, l, draw(st.dictionaries(pool, SNAPSHOT_VALUES, max_size=5)))
+    return Y, kernels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=read_off_cases(sizes=(1, 2, 4, 8)))
+def test_value_table_reductions_match_the_snapshot_oracles_bit_for_bit(case):
+    assert_tables_match_oracles(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=read_off_cases(sizes=(3,)))
+def test_resynthesis_residual_matches_its_oracle_off_dyadic_grids(case):
+    assert_tables_match_oracles(*case)
+
+
+def test_value_tables_follow_a_multiset_that_cancels_and_comes_back(grid8):
+    # (1, 3) cancels to an exact 0.0 at boundary 4, so the kernel drops it,
+    # and it comes back at 6 behind (2, 5): its dict position has moved
+    a = SymKernel(grid8, 2, {(1, 3): 0.5, (2, 5): 0.25})
+    b = SymKernel(grid8, 2, {(1, 3): 0.5 - 0.1, (2, 5): 1.0})
+    cancel = SymKernel(grid8, 2, {(1, 3): -0.5})
+    first = first_order(StepFunction.indicator(grid8, 0, 3))
+    functionals = []
+    for x in range(grid8.n_cells + 1):
+        if x < 4:
+            k = {2: a.scaled(x)}
+        elif x < 6:
+            k = {2: a.add(cancel).scaled(x)}
+        else:
+            k = {2: SymKernel(grid8, 2, {(2, 5): 1.0}).add(b.scaled(x))}
+        functionals.append(ChaosFunctional(grid8, 0.1 * x, k).add(first.scaled(x % 3)))
+    assert list(functionals[4].kernels[2].items()) == [((2, 5), 1.0)]
+    assert [mu for mu, _ in functionals[6].kernels[2].items()] == [(2, 5), (1, 3)]
+    Y = SkorohodProcess(grid8, functionals)
+    assert_tables_match_oracles(Y, {(2, 1): b, (2, 2): a, (1, 1): first.kernels[1]})
+    # the difference of two processes cancels a multiset at some boundaries only
+    Z = skorohod_process(terminal_plus_path(grid8))
+    assert_tables_match_oracles(Y.sub(Z), extract_region_kernels(terminal_plus_path(grid8), Z))
+
+
+def dense_random_process(grid, seed):
+    """Snapshots storing most multisets of orders 1-3 with random values, each in a shuffled key order."""
+    rng = np.random.default_rng(seed)
+    pools = {l: list(itertools.combinations_with_replacement(range(1, grid.n_cells + 1), l)) for l in (1, 2, 3)}
+    functionals = []
+    for _ in range(grid.n_cells + 1):
+        kernels = {}
+        for l, pool in pools.items():
+            keep = [pool[i] for i in rng.permutation(len(pool)) if rng.random() < 0.8]
+            kernels[l] = SymKernel(grid, l, dict(zip(keep, rng.normal(size=len(keep)).tolist())))
+        functionals.append(ChaosFunctional(grid, float(rng.normal()), kernels))
+    return SkorohodProcess(grid, functionals)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_value_table_reductions_match_the_oracles_on_long_sums(seed):
+    # a hundred and more random terms per kernel sum: a pairwise or reordered sum would change the bits
+    Y = dense_random_process(Grid(8), seed)
+    kernels = {(l, q): f for (l, q), f in extract_region_kernels(terminal_plus_path(Grid(8))).items()}
+    kernels[3, 1] = Y.at_boundary(8).kernels[3].scaled(0.5)
+    assert_tables_match_oracles(Y, kernels)
+
+
+def test_resynthesis_residual_of_the_ducnualart_read_off_matches_its_oracle():
+    from skorochaos.experiments import _ducnualart_integrand
+
+    for n in (4, 8):
+        u = _ducnualart_integrand(Grid(n))
+        Y = skorohod_process(u)
+        kernels = extract_region_kernels(u, Y)
+        assert_tables_match_oracles(Y, kernels)
+        assert resynthesis_residual(Y, kernels) == 0.0
+
+
+def test_resynthesis_residual_of_a_foreign_read_off_matches_its_oracle(grid8):
+    # u read off the integral of another Grid(8) integrand leaves a residual;
+    # a Grid(16) process cannot be read against Grid(8) region kernels
+    u = brownian_terminal_process(grid8)
+    other = skorohod_process(brownian_path_process(grid8))
+    kernels = extract_region_kernels(u, other)
+    got = resynthesis_residual(other, kernels)
+    assert got > 1e-3
+    assert got.hex() == oracle_resynthesis_residual(other, kernels).hex()
+    finer = skorohod_process(brownian_terminal_process(Grid(16)))
+    with pytest.raises(ValueError, match="grid or order"):
+        resynthesis_residual(finer, extract_region_kernels(u))
+
+
+def test_resynthesis_residual_and_the_table_maps_reject_bad_input(grid8):
+    u = terminal_plus_path(grid8)
+    Y = skorohod_process(u)
+    kernels = extract_region_kernels(u, Y)
+    f = kernels[2, 1]
+    bad = [
+        ({**kernels, (2, 3): f}, "outside q = 0..2"),
+        ({**kernels, (2, -1): f}, "outside q = 0..2"),
+        ({**kernels, (1, 0): f}, "grid or order"),
+        ({(2, 1): SymKernel(Grid(4), 2, {(1, 2): 1.0})}, "grid or order"),
+        ({(0, 0): f}, "order 0 outside"),
+        ({(6, 1): f}, "order 6 outside"),
+    ]
+    for regions, match in bad:
+        with pytest.raises(ValueError, match=match):
+            resynthesis_residual(Y, regions)
+    snapshots = [F.kernels.get(2) for F in Y.functionals]
+    for wrong in (snapshots[:-1], snapshots + [None], []):
+        with pytest.raises(ValueError, match="one snapshot per boundary"):
+            value_table(grid8, 2, wrong)
+    with pytest.raises(ValueError, match="grid or order"):
+        value_table(grid8, 1, snapshots)
+    table = value_table(grid8, 2, snapshots)
+    for q in (3, -1, 1.0, True):
+        with pytest.raises(ValueError, match="outside q"):
+            region_table(table, {q: f})
+    with pytest.raises(ValueError, match="grid or order"):
+        region_table(table, {1: kernels[1, 1]})
+
+
+def test_value_table_layout(grid8):
+    Y = skorohod_process(brownian_terminal_process(grid8))
+    table = Y.value_table(2)
+    assert Y.value_table(2) is table
+    assert table.values.shape == (grid8.n_cells + 1, len(table.multisets))
+    assert table.cells.tolist() == [list(mu) for mu in table.multisets]
+    for b, F in enumerate(Y.functionals):
+        stored = list(F.kernels[2].items()) if 2 in F.kernels else []
+        assert [table.multisets[i] for i in table.key_order[b]] == [mu for mu, _ in stored]
+        assert table.values[b, table.key_order[b]].tolist() == [v for _, v in stored]
+    assert table.weights.tolist() == [1.0 if mu[0] == mu[1] else 2.0 for mu in table.multisets]
+
+
+def test_theorem1_builds_each_conditional_expectation_once(monkeypatch):
+    from skorochaos import bf, experiments, skorohod
+    from skorochaos.chaos import conditional_expectation as real
+    from skorochaos.experiments import ExperimentConfig, run_experiment
+
+    seen, held = {}, []
+
+    def counting(F, a, b):
+        held.append(F)  # keeps every id in use for the whole run
+        key = (id(F), a, b)
+        seen[key] = seen.get(key, 0) + 1
+        return real(F, a, b)
+
+    for module in (bf, experiments, skorohod):
+        monkeypatch.setattr(module, "conditional_expectation", counting)
+    assert run_experiment(ExperimentConfig(experiment="theorem1", N=16, depth=4)).ok
+    assert len(held) > 100
+    assert {key: n for key, n in seen.items() if n > 1} == {}
