@@ -44,7 +44,6 @@ from .skorohod import (
     region_energy_bound,
     resynthesize,
     resynthesis_residual,
-    skorohod_integral,
     skorohod_process,
     step_approximation,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "region_energy_bound",
     "resynthesize",
     "resynthesis_residual",
-    "skorohod_integral",
     "skorohod_process",
     "step_approximation",
     "BFProcess",

@@ -157,15 +157,15 @@ def split_two_sided(F: ChaosFunctional, lo: int, hi: int) -> list[tuple[ChaosFun
             lefts.add(mu_l)
             rights.add(mu_r)
             entries.append((mu_l, mu_r, math.comb(n, len(mu_l)) * v))
-    left_ix = {mu: i for i, mu in enumerate(_basis_index(lefts))}
-    right_ix = {mu: j for j, mu in enumerate(_basis_index(rights))}
+    left_basis = _basis_index(lefts)
+    right_basis = _basis_index(rights)
+    left_ix = {mu: i for i, mu in enumerate(left_basis)}
+    right_ix = {mu: j for j, mu in enumerate(right_basis)}
     M = np.zeros((len(left_ix), len(right_ix)))
     M[0, 0] = F.mean
     for mu_l, mu_r, v in entries:
         M[left_ix[mu_l], right_ix[mu_r]] += v
 
-    left_basis = _basis_index(lefts)
-    right_basis = _basis_index(rights)
     pairs = []
     R = M.copy()
     for _ in range(min(R.shape)):

@@ -197,7 +197,9 @@ def _program(functionals: Sequence[ChaosFunctional], n_cells: int) -> list[tuple
     """One step per distinct multiset of each group, in group order.
 
     A step is (Hermite table rows of its factors, [(coef, r0, r1), ...]):
-    rows r0..r1-1 hold the multiset with that coefficient.
+    rows r0..r1-1 hold the multiset with that coefficient.  A functional
+    holds a multiset at most once and members come in index order, so
+    only a step's last run can end at the current row.
     """
     groups: list[tuple[list, dict, list[int]]] = []  # (order, position of each key, members)
     for fi, F in enumerate(functionals):
@@ -216,13 +218,13 @@ def _program(functionals: Sequence[ChaosFunctional], n_cells: int) -> list[tuple
         for fi in members:
             for mu, coef in _terms(functionals[fi]):
                 adds = steps[mu]
-                for i, (c, r0, r1) in enumerate(adds):
+                if adds:
+                    c, r0, r1 = adds[-1]
                     # 0.0 and -0.0 compare equal but scale a term to different zeros
                     if r1 == fi and c == coef and math.copysign(1.0, c) == math.copysign(1.0, coef):
-                        adds[i] = (c, r0, fi + 1)
-                        break
-                else:
-                    adds.append((coef, fi, fi + 1))
+                        adds[-1] = (c, r0, fi + 1)
+                        continue
+                adds.append((coef, fi, fi + 1))
         program.extend((_factor_rows(mu, n_cells), adds) for mu, adds in steps.items())
     return program
 

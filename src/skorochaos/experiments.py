@@ -57,7 +57,6 @@ __all__ = [
     "ExperimentResult",
     "FIELDS",
     "SPECS",
-    "EXPERIMENTS",
     "run_experiment",
     "format_value",
 ]
@@ -487,10 +486,7 @@ SPECS: dict[str, ExperimentSpec] = {
         (_within_cell_cap, _quarters_are_boundaries)),
 }
 
-# run_experiment dispatches through this registry, so a test can swap in a runner
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {n: s.run for n, s in SPECS.items()}
-
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
-    return EXPERIMENTS[cfg.experiment](cfg)
+    return SPECS[cfg.experiment].run(cfg)

@@ -7,9 +7,10 @@ Everything in this package lives on a uniform grid of ``n`` half-open cells
 Cell indices are 1-based; boundary indices run 0..n with boundary i at
 ``i * delta``.  Every time argument below the command line is a boundary
 index; ``Grid.boundary_index`` turns a grid-aligned float time into one
-where a config value holds it, and ``Grid.check_interval`` is the one
-check that an index pair is integral and in range.  The map runs one way:
-no index becomes a float time again.
+where a config value holds it, ``is_index`` is the one test that an index
+is an integer, and ``Grid.check_interval`` is the one check that an index
+pair is integral and in range.  The map runs one way: no index becomes a
+float time again.
 
 The second half of the module implements the region combinatorics used by
 the finite-chaos representation of Skorohod integral processes: for a point
@@ -32,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Grid",
+    "is_index",
     "Partition",
     "Selection",
     "GenericityError",
@@ -43,6 +45,11 @@ __all__ = [
 ]
 
 _ALIGN_TOL = 1e-9
+
+
+def is_index(i: object) -> bool:
+    """True for an integer index; a bool or a float is not one, even 1.0."""
+    return isinstance(i, Integral) and not isinstance(i, bool)
 
 
 class GenericityError(ValueError):
@@ -76,7 +83,7 @@ class Grid:
 
     def check_interval(self, a: int, b: int) -> None:
         """Raise unless (a, b] is an interval of boundary indices, 0 <= a <= b <= n."""
-        if any(isinstance(i, bool) or not isinstance(i, Integral) for i in (a, b)):
+        if not (is_index(a) and is_index(b)):
             raise ValueError(f"interval ({a!r}, {b!r}] needs integer boundary indices")
         if not 0 <= a <= b <= self.n_cells:
             raise ValueError(f"interval ({a}, {b}] is not 0 <= a <= b <= {self.n_cells}")

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, is_index
 from .paths import StepFunction
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "ValueTable",
     "value_table",
     "region_table",
-    "max_gap_spread",
     "tensor_power",
     "from_step",
     "constant_kernel",
@@ -563,19 +562,9 @@ def region_table(table: ValueTable, regions: Mapping[int, SymKernel]) -> ValueTa
     """
     l = table.order
     for q in regions:
-        if isinstance(q, bool) or not isinstance(q, Integral) or not 0 <= q <= l:
+        if not (is_index(q) and 0 <= q <= l):
             raise ValueError(f"region ({l}, {q!r}) outside q = 0..{l}")
     return _read_rows(table.grid, l, [regions.get(q) for q in range(l + 1)], table)
-
-
-def max_gap_spread(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -> float:
-    """Largest fl(max - min) of a multiset's values over one gap of its cells.
-
-    snapshots holds one order-``order`` kernel per boundary 0..n_cells
-    (None where the order is absent); a multiset a snapshot lacks reads
-    0.0 there.  See ``ValueTable.max_gap_spread`` for the gaps.
-    """
-    return value_table(grid, order, snapshots).max_gap_spread()
 
 
 def _dense_guard(grid: Grid, order: int) -> None:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
-from .grid import Grid, Partition
+from .grid import Grid, Partition, is_index
 from .kernels import (
     SymKernel,
     ValueTable,
@@ -50,14 +50,12 @@ __all__ = [
     "SkorohodProcess",
     "brownian_terminal_process",
     "brownian_path_process",
-    "skorohod_integral",
     "skorohod_process",
     "martingale_defect",
     "max_martingale_defect",
     "ito_skorohod_integrand",
     "step_approximation",
     "projected_synthesis_process",
-    "duality_gap",
     "EnergyReport",
     "max_increment_energy",
     "extract_region_kernels",
@@ -87,8 +85,9 @@ class ChaosProcess:
         return cls(grid, [F] * grid.n_cells)
 
     def at_cell(self, k: int) -> ChaosFunctional:
-        if not 1 <= k <= self.grid.n_cells:
-            raise ValueError(f"cell {k} out of range 1..{self.grid.n_cells}")
+        n = self.grid.n_cells
+        if not (is_index(k) and 1 <= k <= n):
+            raise ValueError(f"cell {k!r} out of range: need an integer cell index 1..{n}")
         return self.functionals[k - 1]
 
     def add(self, other: "ChaosProcess") -> "ChaosProcess":
@@ -98,9 +97,6 @@ class ChaosProcess:
     def sub(self, other: "ChaosProcess") -> "ChaosProcess":
         self._check(other)
         return ChaosProcess(self.grid, [a.sub(b) for a, b in zip(self.functionals, other.functionals)])
-
-    def scaled(self, c: float) -> "ChaosProcess":
-        return ChaosProcess(self.grid, [F.scaled(c) for F in self.functionals])
 
     def max_order(self) -> int:
         return max((F.max_order for F in self.functionals), default=0)
@@ -196,8 +192,9 @@ class SkorohodProcess:
         self._tables: dict[int, ValueTable] = {}
 
     def at_boundary(self, i: int) -> ChaosFunctional:
-        if not 0 <= i <= self.grid.n_cells:
-            raise ValueError(f"boundary index {i} out of range 0..{self.grid.n_cells}")
+        n = self.grid.n_cells
+        if not (is_index(i) and 0 <= i <= n):
+            raise ValueError(f"boundary index {i!r} out of range: need integer boundary indices 0..{n}")
         return self.functionals[i]
 
     def orders(self) -> list[int]:
@@ -260,18 +257,18 @@ class SkorohodProcess:
         return f"SkorohodProcess(cells={self.grid.n_cells})"
 
 
-def _partial_integrals(u: ChaosProcess, b: int) -> list[ChaosFunctional]:
-    """The integrals of u over (0, t_i] for boundaries i = 0..b, cell by cell.
+def skorohod_process(u: ChaosProcess) -> SkorohodProcess:
+    """The integrals of u over (0, t_b] for every boundary b, cell by cell.
 
     Over cell c the integral adds the cell to every kernel of u_c (and
-    turns the mean into a first-order term); the sums run in cell order.
+    turns the mean into a first-order term); the sums run in cell order,
+    and the kernels are snapshotted at each boundary.
     """
     grid = u.grid
     first: SymKernel | None = None
     higher: dict[int, SymKernel] = {}
     out = [ChaosFunctional(grid, 0.0, {})]
-    for c in range(1, b + 1):
-        F = u.at_cell(c)
+    for c, F in enumerate(u.functionals, 1):
         if F.mean != 0.0:
             k = SymKernel(grid, 1, {(c,): F.mean})
             first = k if first is None else first.add(k)
@@ -279,18 +276,7 @@ def _partial_integrals(u: ChaosProcess, b: int) -> list[ChaosFunctional]:
             k = add_cell(g, c)
             higher[j + 1] = higher[j + 1].add(k) if j + 1 in higher else k
         out.append(ChaosFunctional(grid, 0.0, {1: first, **higher} if first is not None else higher))
-    return out
-
-
-def skorohod_process(u: ChaosProcess) -> SkorohodProcess:
-    """Integrate u cell by cell, snapshotting the kernels at each boundary."""
-    return SkorohodProcess(u.grid, _partial_integrals(u, u.grid.n_cells))
-
-
-def skorohod_integral(u: ChaosProcess, b: int) -> ChaosFunctional:
-    """The integral of u over (0, t_b] for a boundary index b."""
-    u.grid.check_interval(0, b)
-    return _partial_integrals(u, b)[-1]
+    return SkorohodProcess(grid, out)
 
 
 def martingale_defect(Y: SkorohodProcess, a: int, b: int) -> float:
@@ -418,17 +404,6 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     return SkorohodProcess(grid, snapshots)
 
 
-def duality_gap(F: ChaosFunctional, u: ChaosProcess, b: int) -> float:
-    """|E[F * integral(u, b)] - E<DF, u 1_(0,t_b]>| at boundary index b, both exact."""
-    from .chaos import malliavin_derivative
-
-    lhs = F.product_expectation(skorohod_integral(u, b))
-    rhs = sum(
-        malliavin_derivative(F, c).product_expectation(u.at_cell(c)) for c in range(1, b + 1)
-    ) * u.grid.delta
-    return abs(lhs - rhs)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Largest summed squared increment energy over the dyadic partitions."""
@@ -476,23 +451,21 @@ def max_increment_energy(Y: SkorohodProcess) -> EnergyReport:
     return EnergyReport(max(energy for _, energy in rows), tuple(rows))
 
 
-def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess | None = None) -> dict[tuple[int, int], SymKernel]:
+def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess) -> dict[tuple[int, int], SymKernel]:
     """Kernels f_{l,q} of the integral process by count of cells below t.
 
     f_{l,q}(mu) = (1/l) * sum over the q smallest positions i of
     g_{l-1}(mu minus mu_(i); mu_(i)), defined for every multiset including
     diagonal ones.  On the region where exactly q cells of mu lie at or
     before t this equals the integral's order-l kernel at time t.  Y (the
-    integral of u when None) supplies the orders and multisets, u the
-    values; ``resynthesis_residual`` is the check that they are Y's
-    values, since the process ``resynthesize`` rebuilds must equal Y at
-    every boundary.
+    integral of u) supplies the orders and multisets, u the values;
+    ``resynthesis_residual`` is the check that they are Y's values, since
+    the process ``resynthesize`` rebuilds must equal Y at every boundary.
     """
     grid = u.grid
-    full = skorohod_process(u) if Y is None else Y
     out: dict[tuple[int, int], SymKernel] = {}
-    for l in range(1, full.at_boundary(grid.n_cells).max_order + 1):
-        snapshots = (F.kernels[l] for F in full.functionals if l in F.kernels)
+    for l in range(1, Y.at_boundary(grid.n_cells).max_order + 1):
+        snapshots = (F.kernels[l] for F in Y.functionals if l in F.kernels)
         parts = [F.mean if l == 1 else F.kernels.get(l - 1) for F in u.functionals]
         out.update(((l, q), f) for q, f in enumerate(region_kernels(grid, l, snapshots, parts)))
     return out

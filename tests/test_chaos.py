@@ -167,7 +167,7 @@ def test_conditional_expectation_is_projection(grid8, batch8):
 
 def test_duality_of_derivative_and_integral(grid8):
     # E[<DF, u>] = E[F delta(u)] checked exactly for u = X_1 on each cell
-    from skorochaos.skorohod import brownian_terminal_process, skorohod_integral
+    from skorochaos.skorohod import brownian_terminal_process, skorohod_process
 
     h = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
@@ -175,7 +175,7 @@ def test_duality_of_derivative_and_integral(grid8):
     lhs = 0.0
     for cell in grid8.cells():
         lhs += malliavin_derivative(F, cell).product_expectation(u.at_cell(cell)) * grid8.delta
-    rhs = F.product_expectation(skorohod_integral(u, 8))
+    rhs = F.product_expectation(skorohod_process(u).at_boundary(8))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 

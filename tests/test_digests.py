@@ -6,6 +6,9 @@ text with the digest recorded in ``perfbench/digests.json``.  Both runs
 must pass their own checks and give the same bytes, as the benchmark
 requires of every pass: state left behind by one run must not change the
 next.  Both files are only read.
+
+The exact experiments at N=64, and ``geometry``, which no workload runs,
+are pinned here by their sha256 at seed 1 and the default config.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from skorochaos import run_experiment
+from skorochaos import ExperimentConfig, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
@@ -44,3 +47,21 @@ def test_csv_bytes_match_recorded_digest(cfg):
     assert texts[1] == texts[0], "CSV bytes differ between two runs in one process"
     digest = hashlib.sha256(texts[0].encode("utf-8")).hexdigest()
     assert digest == DIGESTS[cfg.experiment][str(SEED)]
+
+
+PINNED = [
+    (dict(experiment="martingale", N=64), "e8b44fb54370ce8dadfe93f142bbf559a700976041cc650f37557654c817469c"),
+    (dict(experiment="theorem1", N=64, depth=4), "54735cccbfd5e404d0d361546ce8f8a6b14b541c3f760fcdcef14f741aa74bf1"),
+    (dict(experiment="ducnualart", N=64), "c401e37349cb4a57c10e6f422ea613f2e8a385bf736b18138299a5de0404dfaa"),
+    (
+        dict(experiment="geometry", M=3, t=0.25, samples=1000),
+        "a4584510d3d941e292a9be6c01c43e605444a1942be3cd9db09810223b1753f8",
+    ),
+]
+
+
+@pytest.mark.parametrize("kw, digest", PINNED, ids=[kw["experiment"] for kw, _ in PINNED])
+def test_csv_bytes_match_pinned_digest(kw, digest):
+    res = run_experiment(ExperimentConfig(seed=SEED, **kw))
+    assert res.ok, res.failures
+    assert hashlib.sha256(res.csv_text().encode("utf-8")).hexdigest() == digest

@@ -113,6 +113,17 @@ def test_opposite_orders_of_shared_multisets():
     assert_same_bytes([b, a, c], batch)
 
 
+def test_a_coefficient_that_returns_starts_a_new_run():
+    # A, B, A on one multiset, and A, absent, A: the third row must not join the first row's run
+    grid = Grid(4)
+    fs = [ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((1, 2), v)])}) for v in (0.3, -1.1, 0.3, 0.3, -1.1)]
+    batch = sample_paths(grid, 200, seed=7)
+    assert_same_bytes(fs, batch)
+    assert_same_bytes(fs[:3], batch)
+    gap = ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((3, 4), 0.3)])})
+    assert_same_bytes([fs[0], gap, fs[0]], batch)
+
+
 def test_negative_zero_mean_survives_next_to_other_functionals():
     grid = Grid(4)
     h = StepFunction(grid, np.array([1.0, -2.0, 0.5, 3.0]))

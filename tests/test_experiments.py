@@ -211,7 +211,7 @@ def test_cli_opens_out_before_the_run(monkeypatch, tmp_path, capsys):
     def never(cfg):
         pytest.fail("the experiment ran before --out was opened")
 
-    monkeypatch.setitem(exp.EXPERIMENTS, "martingale", never)
+    monkeypatch.setitem(exp.SPECS, "martingale", exp.SPECS["martingale"]._replace(run=never))
     assert main(["martingale", "--N", "8", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
     # an invalid config fails before --out is opened, so it creates no file
@@ -353,7 +353,7 @@ def test_cli_reports_failures(monkeypatch, capsys):
         res.failures.append("synthetic failure for the exit path")
         return res
 
-    monkeypatch.setitem(exp.EXPERIMENTS, "martingale", failing)
+    monkeypatch.setitem(exp.SPECS, "martingale", exp.SPECS["martingale"]._replace(run=failing))
     rc = main(["martingale", "--N", "8"])
     err = capsys.readouterr().err
     assert rc == 1

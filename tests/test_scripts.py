@@ -21,6 +21,12 @@ def test_run_all_experiments_writes_one_table_per_experiment(tmp_path, capsys):
         assert (tmp_path / f"{name}.csv").read_text(encoding="utf-8").startswith(f"# experiment={name}\n")
 
 
+def test_every_experiment_has_a_pinned_size():
+    from skorochaos.experiments import SPECS
+
+    assert set(_load("run_all_experiments").PINNED) == set(SPECS)
+
+
 def test_convergence_study_prints_both_tables(capsys):
     study = _load("convergence_study")
     assert study.main(["--paths", "200"]) == 0

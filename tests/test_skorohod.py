@@ -13,9 +13,10 @@ from skorochaos.chaos import (
     constant_functional,
     eval_functional,
     first_order,
+    malliavin_derivative,
 )
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import SymKernel, max_gap_spread, region_table, tensor_power, value_table
+from skorochaos.kernels import SymKernel, region_table, tensor_power, value_table
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
@@ -24,7 +25,6 @@ from skorochaos.skorohod import (
     StepProcess,
     brownian_path_process,
     brownian_terminal_process,
-    duality_gap,
     extract_region_kernels,
     ito_skorohod_integrand,
     martingale_defect,
@@ -34,7 +34,6 @@ from skorochaos.skorohod import (
     region_energy_bound,
     resynthesis_residual,
     resynthesize,
-    skorohod_integral,
     skorohod_process,
     step_approximation,
 )
@@ -86,12 +85,14 @@ def test_martingale_defect_zero_for_family(grid16):
 def test_process_indices_are_checked(grid8):
     u = brownian_terminal_process(grid8)
     Y = skorohod_process(u)
-    for i in (-1, 9):
+    for i in (-1, 9, 0.5, 8.0, True):
         with pytest.raises(ValueError, match="out of range"):
             Y.at_boundary(i)
-    for k in (0, 9):
+    for k in (0, 9, 1.5, 1.0, True):
         with pytest.raises(ValueError, match="out of range"):
             u.at_cell(k)
+    assert Y.at_boundary(np.int64(8)) is Y.at_boundary(8)
+    assert u.at_cell(np.int64(1)) is u.at_cell(1)
 
 
 def mixed_order_process(grid):
@@ -153,15 +154,18 @@ def test_eval_at_checks_its_indices(grid8, batch8):
 
 
 def test_index_apis_reject_float_times(grid8):
-    u = brownian_terminal_process(grid8)
-    Y = skorohod_process(u)
-    F = Y.at_boundary(8)
+    Y = skorohod_process(brownian_terminal_process(grid8))
     with pytest.raises(ValueError, match="integer boundary indices"):
-        skorohod_integral(u, 0.5)
+        Y.at_boundary(0.5)
     with pytest.raises(ValueError, match="integer boundary indices"):
         martingale_defect(Y, 0, 0.5)
-    with pytest.raises(ValueError, match="integer boundary indices"):
-        duality_gap(F, u, 1.0)
+
+
+def duality_gap(F, u, b):
+    """|E[F * integral(u, b)] - E<DF, u 1_(0,t_b]>| at boundary index b, both exact."""
+    lhs = F.product_expectation(skorohod_process(u).at_boundary(b))
+    rhs = sum(malliavin_derivative(F, c).product_expectation(u.at_cell(c)) for c in range(1, b + 1)) * u.grid.delta
+    return abs(lhs - rhs)
 
 
 def test_duality_gap_zero(grid8):
@@ -267,7 +271,7 @@ def test_extraction_and_resynthesis_round_trip(grid8):
 
 def test_extraction_known_values_for_terminal_integrand(grid8):
     u = brownian_terminal_process(grid8)
-    kernels = extract_region_kernels(u)
+    kernels = extract_region_kernels(u, skorohod_process(u))
     f21 = kernels[(2, 1)]
     f22 = kernels[(2, 2)]
     assert all(v == pytest.approx(0.5) for v in f21.data.values())
@@ -390,10 +394,10 @@ def test_max_martingale_defect_sees_a_process_that_is_no_martingale(n):
 def test_max_gap_spread_checks_its_snapshots(grid8):
     f = tensor_power(StepFunction.constant(grid8, 1.0), 2)
     with pytest.raises(ValueError, match="one snapshot per boundary"):
-        max_gap_spread(grid8, 2, [f] * 8)
+        value_table(grid8, 2, [f] * 8)
     with pytest.raises(ValueError, match="grid or order"):
-        max_gap_spread(grid8, 1, [f] * 9)
-    assert max_gap_spread(grid8, 2, [None] * 9) == 0.0
+        value_table(grid8, 1, [f] * 9)
+    assert value_table(grid8, 2, [None] * 9).max_gap_spread() == 0.0
 
 
 # The snapshot bodies that the value tables replaced, kept as oracles: each
@@ -440,7 +444,8 @@ def assert_tables_match_oracles(Y, kernels=None):
     assert max_martingale_defect(Y).hex() == per_pair_max(Y).hex()
     for l in Y.orders():
         snapshots = [F.kernels.get(l) for F in Y.functionals]
-        assert max_gap_spread(Y.grid, l, snapshots).hex() == oracle_max_gap_spread(Y.grid, l, snapshots).hex()
+        got = value_table(Y.grid, l, snapshots).max_gap_spread()
+        assert got.hex() == oracle_max_gap_spread(Y.grid, l, snapshots).hex()
     if kernels is not None:
         assert resynthesis_residual(Y, kernels).hex() == oracle_resynthesis_residual(Y, kernels).hex()
 
@@ -516,7 +521,8 @@ def dense_random_process(grid, seed):
 def test_value_table_reductions_match_the_oracles_on_long_sums(seed):
     # a hundred and more random terms per kernel sum: a pairwise or reordered sum would change the bits
     Y = dense_random_process(Grid(8), seed)
-    kernels = {(l, q): f for (l, q), f in extract_region_kernels(terminal_plus_path(Grid(8))).items()}
+    u = terminal_plus_path(Grid(8))
+    kernels = {(l, q): f for (l, q), f in extract_region_kernels(u, skorohod_process(u)).items()}
     kernels[3, 1] = Y.at_boundary(8).kernels[3].scaled(0.5)
     assert_tables_match_oracles(Y, kernels)
 
@@ -543,7 +549,7 @@ def test_resynthesis_residual_of_a_foreign_read_off_matches_its_oracle(grid8):
     assert got.hex() == oracle_resynthesis_residual(other, kernels).hex()
     finer = skorohod_process(brownian_terminal_process(Grid(16)))
     with pytest.raises(ValueError, match="grid or order"):
-        resynthesis_residual(finer, extract_region_kernels(u))
+        resynthesis_residual(finer, extract_region_kernels(u, skorohod_process(u)))
 
 
 def test_resynthesis_residual_and_the_table_maps_reject_bad_input(grid8):
