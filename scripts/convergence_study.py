@@ -58,16 +58,17 @@ def reversed_table(paths: int, seed: int) -> None:
     for N in (8, 16, 32, 64, 128, 256):
         grid = Grid(N)
         batch = sample_paths(grid, paths, seed)
+        rev = reverse_batch(batch)
         b = grid.boundary_index(t)
         if N <= 32:
             F = quadratic_functional(grid)
             y = eval_functional(tail_difference(F, b), batch)
-            s = backward_ito_eval(clark_ocone_integrand(F), batch, b)
+            s = backward_ito_eval(clark_ocone_integrand(F), rev, b)
             mse = f"{float(np.mean((y - s) ** 2)):12.6f}"
         else:
             mse = f"{'':>12}"
 
-        q = 2.0 * reverse_batch(batch).boundary_values()
+        q = 2.0 * rev.boundary_values()
         bv = batch.boundary_values()
         exact_y = 2.0 * bv[:, -1] * bv[:, b] - bv[:, b] ** 2 - t
         residual = semimartingale_decomposition_check(q, exact_y, batch, b)

@@ -57,13 +57,7 @@ from .reversal import (
     semimartingale_decomposition_check,
     tail_difference,
 )
-from .stopping import (
-    GridStoppingTime,
-    SamplingRow,
-    StoppedIntegralReport,
-    optional_sampling_check,
-    stopped_integral,
-)
+from .stopping import GridStoppingTime, optional_sampling_check, stopped_integral
 from .experiments import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"
@@ -121,8 +115,6 @@ __all__ = [
     "semimartingale_decomposition_check",
     "tail_difference",
     "GridStoppingTime",
-    "SamplingRow",
-    "StoppedIntegralReport",
     "optional_sampling_check",
     "stopped_integral",
     "ExperimentConfig",

@@ -313,8 +313,7 @@ def malliavin_derivative(F: ChaosFunctional, cell: int) -> ChaosFunctional:
     The result is again a chaos functional; pathwise it equals the exact
     partial derivative of eval_functional with respect to that increment.
     """
-    if not 1 <= cell <= F.grid.n_cells:
-        raise ValueError(f"cell {cell} outside grid")
+    F.grid.check_cell(cell)
     mean = 0.0
     ks: dict[int, SymKernel] = {}
     for n, f in F.kernels.items():

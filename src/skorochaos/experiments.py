@@ -21,8 +21,8 @@ from .chaos import (
     ChaosFunctional,
     conditional_expectation,
     constant_functional,
-    eval_functional,
     eval_many,
+    hermite_functional,
 )
 from .grid import GenericityError, Grid, Partition, verify_region_partition
 from .kernels import MAX_CELLS, from_step, sym_tensor_product, tensor_power
@@ -350,34 +350,35 @@ def _run_reversal(cfg: ExperimentConfig) -> ExperimentResult:
     b = grid.boundary_index(cfg.t)
 
     if cfg.N <= MAX_CELLS:
+        n = grid.n_cells
         one = StepFunction.constant(grid, 1.0)
-        tail_lhs = {}
-        for k in range(1, cfg.n + 1):
-            F = ChaosFunctional(grid, 0.0, {k: tensor_power(one, k)})
+        Fs = [hermite_functional(one, k) for k in range(1, max(cfg.n, 2) + 1)]
+        # rows 7(k - 1) .. 7k - 1: F-hat, then its tail differences and its conditioned parts at 0, b, n
+        panel = []
+        for F in Fs[: cfg.n]:
             Fh = reverse_functional(F)
-            bbs = (0, b, grid.n_cells)
-            tails = [reverse_functional(tail_difference(F, bb)) for bb in bbs]
-            conds = [conditional_expectation(Fh, grid.n_cells - bb, grid.n_cells) for bb in bbs]
-            fh, *vals = eval_many([Fh, *tails, *conds], rev)
+            panel += [Fh, *(reverse_functional(tail_difference(F, bb)) for bb in (0, b, n))]
+            panel += [conditional_expectation(Fh, n - bb, n) for bb in (0, b, n)]
+        reversed_rows = eval_many(panel, rev)
+        tails = eval_many([tail_difference(F, b) for F in Fs], batch)
+        for k in range(1, cfg.n + 1):
+            fh, *rest = reversed_rows[7 * (k - 1) : 7 * k]
             worst = 0.0
-            for lhs, cond in zip(vals[: len(bbs)], vals[len(bbs) :]):
-                worst = max(worst, float(np.max(np.abs(lhs - (fh - cond)))))
+            for tail, cond in zip(rest[:3], rest[3:]):
+                worst = max(worst, float(np.max(np.abs(tail - (fh - cond)))))
             res.rows.append((cfg.N, cfg.t, f"two_sided_projection_residual_n{k}", worst, 0.0))
             if worst > _PATHWISE:
                 res.failures.append(f"reversal: projection identity residual {worst:.3e} at n={k}")
 
-            hl, hr = hermite_projection(k, one, b, batch)
-            tail_lhs[k] = hl
-            hres = float(np.max(np.abs(hl - hr))) if hr is not None else 0.0
+            closed = hermite_projection(k, one, b, batch)
+            hres = float(np.max(np.abs(tails[k - 1] - closed))) if closed is not None else 0.0
             res.rows.append((cfg.N, cfg.t, f"hermite_max_residual_n{k}", hres, 0.0))
             if hres > _PATHWISE:
                 res.failures.append(f"reversal: hermite residual {hres:.3e} at n={k}")
 
-        F2 = ChaosFunctional(grid, 0.0, {2: tensor_power(one, 2)})
-        # hermite_projection's k = 2 lhs is this same functional evaluated on this batch
-        y = tail_lhs[2] if 2 in tail_lhs else eval_functional(tail_difference(F2, b), batch)
-        s = backward_ito_eval(clark_ocone_integrand(F2), batch, b)
-        gap_sq = (y - s) ** 2
+        # the backward-Ito gap of F_2 = X_1^2 - 1, whose tail difference is row 1 of tails
+        s = backward_ito_eval(clark_ocone_integrand(Fs[1]), rev, b)
+        gap_sq = (tails[1] - s) ** 2
         mse = float(np.mean(gap_sq))
         mse_se = float(np.std(gap_sq, ddof=1) / np.sqrt(cfg.paths))
         res.rows.append((cfg.N, cfg.t, "backward_ito_gap_mse", mse, mse_se))
@@ -411,16 +412,16 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
     batch = sample_paths(grid, cfg.paths, cfg.seed)
     Y = skorohod_process(brownian_terminal_process(grid))
     S = GridStoppingTime.first_exit(grid, -0.5, 0.5)
-    T = GridStoppingTime.deterministic(grid, 1.0)
+    T = GridStoppingTime.deterministic(grid, grid.boundary_index(1.0))
     rule = f"{S.label()}->{T.label()}"
-    for row in optional_sampling_check(Y, S, T, batch):
-        res.rows.append((rule, row.test_variable, row.n_paths, row.estimate, row.std_error, row.z))
-        if abs(row.z) > 3.0:
-            res.failures.append(f"stopping: optional sampling z={row.z:.2f} for {row.test_variable}")
+    for variable, n_paths, est, se, z in optional_sampling_check(Y, S, T, batch):
+        res.rows.append((rule, variable, n_paths, est, se, z))
+        if abs(z) > 3.0:
+            res.failures.append(f"stopping: optional sampling z={z:.2f} for {variable}")
 
     small = sample_paths(grid, min(cfg.paths, 100), (cfg.seed + 1) % 2**64)
     rules = [
-        GridStoppingTime.deterministic(grid, 0.5),
+        GridStoppingTime.deterministic(grid, grid.boundary_index(0.5)),
         GridStoppingTime.level_hitting(grid, 0.3),
         GridStoppingTime.first_exit(grid, -0.5, 0.5),
         GridStoppingTime.level_hitting(grid, 10.0),
@@ -432,8 +433,8 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
         v = ito_skorohod_integrand(u)
         for d in (1, 2):
             step = step_approximation(v, Partition.dyadic(grid, d))
-            for rule_t, report in zip(rules, stopped_integral(step, rules, small)):
-                gap = report.max_abs_gap()
+            for rule_t, (lhs, rhs) in zip(rules, stopped_integral(step, rules, small)):
+                gap = float(np.max(np.abs(lhs - rhs)))
                 label = f"stop_gap_{name}_depth{d}"
                 res.rows.append((rule_t.label(), label, small.count, gap, 0.0, 0.0))
                 if gap > _PATHWISE:

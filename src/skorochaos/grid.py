@@ -8,8 +8,9 @@ Cell indices are 1-based; boundary indices run 0..n with boundary i at
 ``i * delta``.  Every time argument below the command line is a boundary
 index; ``Grid.boundary_index`` turns a grid-aligned float time into one
 where a config value holds it, ``is_index`` is the one test that an index
-is an integer, and ``Grid.check_interval`` is the one check that an index
-pair is integral and in range.  The map runs one way: no index becomes a
+is an integer, ``Grid.check_interval`` is the one check that an index
+pair is integral and in range, and ``Grid.check_cell`` the same for a
+cell index.  The map runs one way: no index becomes a
 float time again.
 
 The second half of the module implements the region combinatorics used by
@@ -87,6 +88,11 @@ class Grid:
             raise ValueError(f"interval ({a!r}, {b!r}] needs integer boundary indices")
         if not 0 <= a <= b <= self.n_cells:
             raise ValueError(f"interval ({a}, {b}] is not 0 <= a <= b <= {self.n_cells}")
+
+    def check_cell(self, c: int) -> None:
+        """Raise unless c is an integer cell index, 1 <= c <= n."""
+        if not (is_index(c) and 1 <= c <= self.n_cells):
+            raise ValueError(f"cell {c!r} out of range: need an integer cell index 1..{self.n_cells}")
 
     def cells(self) -> range:
         return range(1, self.n_cells + 1)

@@ -379,6 +379,7 @@ def remove_cell(f: SymKernel, c: int) -> SymKernel:
     """nu -> n * f(nu + c), of order n - 1: the kernel of D_c I_n(f)."""
     if f.order == 1:
         raise ValueError("removing a cell from an order-1 kernel leaves a constant; read value((c,))")
+    f.grid.check_cell(c)
     return SymKernel._built(f.grid, f.order - 1, {_remove(mu, (c,)): f.order * v for mu, v in f.data.items() if c in mu})
 
 
@@ -389,6 +390,7 @@ def add_cell(f: SymKernel, c: int) -> SymKernel:
     """
     if f.order == MAX_ORDER:
         raise ValueError(f"kernel order {f.order + 1} outside the supported range 1..{MAX_ORDER}")
+    f.grid.check_cell(c)
     out: dict[tuple[int, ...], float] = {}
     for nu, v in f.data.items():
         rho = _merge(nu, (c,))
@@ -398,6 +400,8 @@ def add_cell(f: SymKernel, c: int) -> SymKernel:
 
 def move_cell(f: SymKernel, a: int, c: int, weight: float) -> SymKernel:
     """rho -> f(rho - c + a) * weight * m_c(rho): one copy of cell a moves to cell c."""
+    f.grid.check_cell(a)
+    f.grid.check_cell(c)
     weight = float(weight)
     out: dict[tuple[int, ...], float] = {}
     for mu, v in f.data.items():

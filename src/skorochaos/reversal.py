@@ -9,8 +9,10 @@ path is again exact kernel algebra.  The pieces here:
   * its predictable integrand in reversed time, one conditioned Malliavin
     derivative per reversed cell;
   * the discrete backward Ito sum against the reversed increments, whose
-    mean-square gap to the exact representation decays like 1/N;
-  * closed Hermite forms for F built from a single step function;
+    mean-square gap to the exact representation decays like 1/N; it
+    takes the reversed batch the caller already holds;
+  * closed Hermite forms for F built from a single step function, to be
+    set against the caller's evaluation of the difference representation;
   * the cumulative pathwise quadratic covariation (bracket) curve of two
     boundary-sampled paths and the forward-plus-bracket decomposition of
     the representation, whose residual is a pure quadratic-variation
@@ -28,15 +30,13 @@ import numpy as np
 from .chaos import (
     ChaosFunctional,
     conditional_expectation,
-    eval_functional,
     eval_many,
-    hermite_functional,
     hermite_values,
     malliavin_derivative,
 )
 from .grid import Grid
 from .kernels import reverse_kernel
-from .paths import PathBatch, StepFunction, isonormal_eval, reverse_batch
+from .paths import PathBatch, StepFunction, isonormal_eval
 from .skorohod import ChaosProcess
 
 __all__ = [
@@ -78,54 +78,49 @@ def clark_ocone_integrand(F: ChaosFunctional) -> ChaosProcess:
     return ChaosProcess(grid, cells)
 
 
-def backward_ito_eval(phi: ChaosProcess, batch: PathBatch, b: int) -> np.ndarray:
+def backward_ito_eval(phi: ChaosProcess, rev: PathBatch, b: int) -> np.ndarray:
     """Discrete predictable sum over reversed cells in (n - b, n], b a boundary index.
 
-    phi must be written in reversed coordinates and adapted: the value at
+    rev is the reversed batch, ``reverse_batch`` of the forward one.  phi
+    must be written in reversed coordinates and adapted: the value at
     reversed cell j may only depend on reversed increments before j.
     """
     grid = phi.grid
     grid.check_interval(0, b)
     n = grid.n_cells
-    start = n - b
-    for j in range(start + 1, n + 1):
+    window = range(n - b + 1, n + 1)
+    for j in window:
         if any(c >= j for c in phi.at_cell(j).cells()):
             raise ValueError(f"integrand at reversed cell {j} is not predictable")
-    rev = reverse_batch(batch)
-    window = list(range(start + 1, n + 1))
-    if not window:
-        return np.zeros(batch.count)
     vals = eval_many([phi.at_cell(j) for j in window], rev)
-    out = np.zeros(batch.count)
+    out = np.zeros(rev.count)
     for row, j in enumerate(window):
         out += vals[row] * rev.increments[:, j - 1]
     return out
 
 
-def hermite_projection(
-    n: int, h: StepFunction, b: int, batch: PathBatch
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Both sides of the closed tail-projection identity for I_n(h^(x)n).
+def hermite_projection(n: int, h: StepFunction, b: int, batch: PathBatch) -> np.ndarray | None:
+    """Closed form of the difference representation of I_n(h^(x)n) at boundary index b.
 
-    lhs is the pathwise kernel-side difference representation at boundary
-    index b; rhs is n! (He_n(X(h)) - ||h tail||^n He_n(X(h tail)/||h
-    tail||)) with h tail = h 1_(t_b,1], exact for unit h.  When the tail
-    norm vanishes the closed form degenerates and None is returned for rhs.
+    Pathwise it is n! (He_n(X(h)) - ||h tail||^n He_n(X(h tail)/||h
+    tail||)) with h tail = h 1_(t_b,1], which equals ``tail_difference(
+    hermite_functional(h, n), b)`` evaluated on batch, exactly for unit h.
+    When the tail norm vanishes the closed form degenerates and None is
+    returned.
     """
+    if n < 0:
+        raise ValueError(f"order {n} is negative")
     if abs(h.norm() - 1.0) > 1e-12:
         raise ValueError("the closed form needs a unit-norm step function")
     grid = h.grid
     tail = h.multiply(StepFunction.indicator(grid, b, grid.n_cells))
-    F = hermite_functional(h, n)
-    lhs = eval_functional(tail_difference(F, b), batch)
     tau = tail.norm()
     if tau == 0.0:
-        return lhs, None
+        return None
     top = isonormal_eval(batch, h)
     tt = isonormal_eval(batch, tail) / tau
     fact = math.factorial(n)
-    rhs = fact * (hermite_values(n, top)[n] - tau**n * hermite_values(n, tt)[n])
-    return lhs, rhs
+    return fact * (hermite_values(n, top)[n] - tau**n * hermite_values(n, tt)[n])
 
 
 def quadratic_covariation(grid: Grid, U: np.ndarray, V: np.ndarray) -> np.ndarray:

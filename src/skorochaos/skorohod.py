@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosFunctional, conditional_expectation, eval_many, multiply
+from .chaos import ChaosFunctional, conditional_expectation, eval_many, first_order, multiply
 from .grid import Grid, Partition, is_index
 from .kernels import (
     SymKernel,
@@ -42,7 +42,7 @@ from .kernels import (
     restrict_below_count,
     value_table,
 )
-from .paths import PathBatch
+from .paths import PathBatch, StepFunction
 
 __all__ = [
     "ChaosProcess",
@@ -85,9 +85,7 @@ class ChaosProcess:
         return cls(grid, [F] * grid.n_cells)
 
     def at_cell(self, k: int) -> ChaosFunctional:
-        n = self.grid.n_cells
-        if not (is_index(k) and 1 <= k <= n):
-            raise ValueError(f"cell {k!r} out of range: need an integer cell index 1..{n}")
+        self.grid.check_cell(k)
         return self.functionals[k - 1]
 
     def add(self, other: "ChaosProcess") -> "ChaosProcess":
@@ -125,17 +123,11 @@ class ChaosProcess:
 
 def brownian_terminal_process(grid: Grid) -> ChaosProcess:
     """u_a = X_1 for every a: the standard nonadapted example."""
-    from .chaos import first_order
-    from .paths import StepFunction
-
     return ChaosProcess.constant(grid, first_order(StepFunction.constant(grid, 1.0)))
 
 
 def brownian_path_process(grid: Grid) -> ChaosProcess:
     """u_a = X_a, averaged over each cell: weight 1 before, 1/2 on it."""
-    from .chaos import first_order
-    from .paths import StepFunction
-
     fs = []
     for k in grid.cells():
         values = np.zeros(grid.n_cells)
@@ -382,9 +374,6 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     contraction terms vanish because coefficient and increment never share
     a cell.
     """
-    from .chaos import first_order
-    from .paths import StepFunction
-
     grid = step.grid
     intervals = list(step.partition.intervals())
     # up to b = hi an interval's coefficient is conditioned on (lo, hi]: build it once

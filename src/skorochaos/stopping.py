@@ -1,10 +1,10 @@
 """Grid stopping times and the stopped-integral identities.
 
-A stopping rule here maps each increment path to a cell boundary, and
+A stopping rule here maps each increment path to a boundary index, and
 deciding the value may only use increments up to that boundary.  Three
-rules ship: a deterministic time, first passage above a level, and first
-exit from a band; the hitting rules return time 1 when the path never
-triggers.
+rules ship: a deterministic boundary index, first passage above a level,
+and first exit from a band; the hitting rules return time 1 when the
+path never triggers.
 
 Two facts about the integral process survive stopping exactly on the
 grid.  First, optional sampling: the expectation of Y_T - Y_S against
@@ -12,7 +12,8 @@ any variable known at time S vanishes, checked here as Monte Carlo
 z-scores.  Second, for a step integrand whose interval values have no
 kernel support inside their own interval, the stopped integral equals
 the sum of interval values times stopped increments, pathwise with no
-error beyond float roundoff.
+error beyond float roundoff.  Both checks return plain tuples of numbers
+and arrays, which the experiment layer writes into its rows.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .skorohod import SkorohodProcess, StepProcess, skorohod_process
 
 __all__ = [
     "GridStoppingTime",
-    "SamplingRow",
     "optional_sampling_check",
-    "StoppedIntegralReport",
     "stopped_integral",
 ]
 
@@ -41,9 +40,10 @@ class GridStoppingTime:
     """A boundary-valued stopping rule for the grid filtration.
 
     kind is one of "deterministic", "level-hitting", "first-exit"; params
-    carries (t,), (level,), or (lo, hi).  Hitting rules scan boundaries
-    k = 1..n in order and fire at the first boundary value satisfying the
-    condition, so the decision never looks past the returned time.
+    carries (b,) for a boundary index b, (level,), or (lo, hi).  Hitting
+    rules scan boundaries k = 1..n in order and fire at the first boundary
+    value satisfying the condition, so the decision never looks past the
+    returned time.
     """
 
     grid: Grid
@@ -51,9 +51,10 @@ class GridStoppingTime:
     params: tuple[float, ...]
 
     @classmethod
-    def deterministic(cls, grid: Grid, t: float) -> "GridStoppingTime":
-        grid.boundary_index(t)
-        return cls(grid, "deterministic", (float(t),))
+    def deterministic(cls, grid: Grid, b: int) -> "GridStoppingTime":
+        """Stop at boundary index b on every path."""
+        grid.check_interval(0, b)
+        return cls(grid, "deterministic", (int(b),))
 
     @classmethod
     def level_hitting(cls, grid: Grid, level: float) -> "GridStoppingTime":
@@ -68,7 +69,9 @@ class GridStoppingTime:
         return cls(grid, "first-exit", (float(lo), float(hi)))
 
     def label(self) -> str:
-        inner = ",".join(f"{p:g}" for p in self.params)
+        """Kind and parameters; a deterministic rule prints its time b * delta."""
+        params = (self.params[0] * self.grid.delta,) if self.kind == "deterministic" else self.params
+        inner = ",".join(f"{p:g}" for p in params)
         return f"{self.kind}({inner})"
 
     def eval(self, batch: PathBatch) -> np.ndarray:
@@ -77,8 +80,7 @@ class GridStoppingTime:
             raise ValueError("batch grid differs from stopping-time grid")
         n = self.grid.n_cells
         if self.kind == "deterministic":
-            b = self.grid.boundary_index(self.params[0])
-            return np.full(batch.count, b, dtype=np.int64)
+            return np.full(batch.count, self.params[0], dtype=np.int64)
         walk = batch.boundary_values()[:, 1:]
         if self.kind == "level-hitting":
             cond = walk >= self.params[0]
@@ -90,17 +92,6 @@ class GridStoppingTime:
         hit = cond.any(axis=1)
         first = np.argmax(cond, axis=1) + 1
         return np.where(hit, first, n).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SamplingRow:
-    """One Monte Carlo test of E[G (Y_T - Y_S)] = 0."""
-
-    test_variable: str
-    n_paths: int
-    estimate: float
-    std_error: float
-    z: float
 
 
 def _stopped_variables(batch: PathBatch, s_idx: np.ndarray) -> dict[str, np.ndarray]:
@@ -126,10 +117,11 @@ def optional_sampling_check(
     S: GridStoppingTime,
     T: GridStoppingTime,
     batch: PathBatch,
-) -> list[SamplingRow]:
+) -> list[tuple[str, int, float, float, float]]:
     """z-scores of E[G (Y_T - Y_S)] over a panel of S-measurable G.
 
-    Y is evaluated on each path only at its two stopping times.
+    One (test_variable, n_paths, estimate, std_error, z) row per G.  Y is
+    evaluated on each path only at its two stopping times.
     """
     s_idx = S.eval(batch)
     t_idx = T.eval(batch)
@@ -143,25 +135,14 @@ def optional_sampling_check(
         est = float(np.mean(prod))
         se = float(np.std(prod, ddof=1) / np.sqrt(batch.count))
         z = 0.0 if se == 0.0 and est == 0.0 else est / se
-        out.append(SamplingRow(name, batch.count, est, se, z))
+        out.append((name, batch.count, est, se, z))
     return out
-
-
-@dataclass(frozen=True)
-class StoppedIntegralReport:
-    """Both sides of the stopped-integral identity, pathwise."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    def max_abs_gap(self) -> float:
-        return float(np.max(np.abs(self.lhs - self.rhs)))
 
 
 def stopped_integral(
     step: StepProcess, times: Sequence[GridStoppingTime], batch: PathBatch
-) -> list[StoppedIntegralReport]:
-    """Interval-value sum with stopped increments vs the frozen curve, per time.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Interval-value sum with stopped increments vs the frozen curve, one (lhs, rhs) pair per time.
 
     lhs sums F_i (X_{T and t_{i+1}} - X_{T and t_i}) over the partition;
     rhs evaluates the integral process of the step integrand at every
@@ -181,6 +162,6 @@ def stopped_integral(
             left = bv[rows, np.minimum(t_idx, lo)]
             right = bv[rows, np.minimum(t_idx, hi)]
             lhs += coeffs[i] * (right - left)
-        out.append(StoppedIntegralReport(lhs, curve[rows, t_idx]))
+        out.append((lhs, curve[rows, t_idx]))
     return out
 

@@ -261,17 +261,18 @@ def test_each_batch_is_evaluated_once(eval_rows):
     grid = Grid(16)
     batch = sample_paths(grid, 500, seed=3)
     Y = skorohod_process(brownian_terminal_process(grid))
-    S, T = GridStoppingTime.first_exit(grid, -0.5, 0.5), GridStoppingTime.deterministic(grid, 1.0)
+    S, T = GridStoppingTime.first_exit(grid, -0.5, 0.5), GridStoppingTime.deterministic(grid, 16)
     optional_sampling_check(Y, S, T, batch)
     assert sum(eval_rows) <= 2 * batch.count
     eval_rows.clear()
     run_experiment(ExperimentConfig(experiment="isometry", N=8, L=3, paths=200))
     assert len(eval_rows) == 1
-    eval_rows.clear()
-    run_experiment(ExperimentConfig(experiment="reversal", N=16, n=2, t=0.5, paths=200))
-    # two per order k (the projection panel, hermite_projection) and backward_ito_eval's;
-    # the backward-Ito gap reuses hermite_projection's k = 2 lhs
-    assert len(eval_rows) == 5
+    for n in (1, 2, 3):
+        eval_rows.clear()
+        run_experiment(ExperimentConfig(experiment="reversal", N=16, n=n, t=0.5, paths=200))
+        # every order's panel on the reversed batch, every tail difference on the forward one,
+        # and backward_ito_eval's window
+        assert len(eval_rows) == 3
 
 
 def counting(monkeypatch, name, modules, calls):

@@ -17,6 +17,7 @@ or ``np.float64`` arguments, no stored zeros, and a dict of its own.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,3 +314,24 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         assert all(out.data is not x.data for x in (f, g, h))
     assert list(f.scaled(np.float64(c)).items()) == list(f.scaled(c).items())
     assert list(move_cell(f, a, b, np.float64(c)).items()) == list(move_cell(f, a, b, c).items())
+
+
+@pytest.mark.parametrize("cell", [0, 9, -1, 1.5, 1.0, True])
+def test_cell_maps_check_their_cell(cell):
+    grid = Grid(8)
+    f = tensor_power(StepFunction.constant(grid, 1.0), 2)
+    F = ChaosFunctional(grid, 0.0, {2: f})
+    u = ChaosProcess.constant(grid, F)
+    calls = [
+        lambda c: add_cell(f, c),
+        lambda c: remove_cell(f, c),
+        lambda c: move_cell(f, c, 2, 1.0),
+        lambda c: move_cell(f, 1, c, 1.0),
+        lambda c: malliavin_derivative(F, c),
+        lambda c: u.at_cell(c),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need an integer cell index 1..8"):
+            call(cell)
+        call(np.int64(1))
+        call(np.int64(8))

@@ -6,14 +6,19 @@ other module reads kernels through ``items()``, ``value()``, ``len()`` and
 constructor, so none of them may touch the ``data`` attribute.  Every
 name a module lists in ``__all__`` must exist in it.  Times are boundary
 indices below the experiment layer: a float time becomes an index only
-where a config value or a stopping rule's parameter holds it.
+where a config value holds it.  The benchmark tracer in
+``perfbench/tracing.py`` wraps package functions by name, so every name
+it wraps must exist.
 """
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skorochaos"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skorochaos"
 OWNER = "kernels.py"
 
 
@@ -22,7 +27,7 @@ def data_reads(path):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "data"]
 
 
-TIME_TO_INDEX = {"grid.py", "experiments.py", "stopping.py"}
+TIME_TO_INDEX = {"grid.py", "experiments.py"}
 
 
 def method_calls(path, name):
@@ -57,3 +62,21 @@ def test_every_exported_name_exists():
         module = importlib.import_module(name)
         missing += [f"{path.name}: {n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == [], f"__all__ names that do not exist: {missing}"
+
+
+def test_the_tracer_wraps_names_that_exist():
+    from skorochaos import chaos, kernels  # loads every package module the tracer wraps
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = chaos.eval_many
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert chaos.eval_many is not original
+    finally:
+        tracer.uninstall()
+    assert chaos.eval_many is original
+    # the entry count of a SymKernel span reads the fourth positional argument
+    assert list(inspect.signature(kernels.SymKernel.__init__).parameters)[3] == "values"

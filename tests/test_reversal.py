@@ -13,6 +13,7 @@ from skorochaos import (
     eval_functional,
     first_order,
     from_step,
+    hermite_functional,
     hermite_projection,
     quadratic_covariation,
     reverse_batch,
@@ -92,7 +93,7 @@ def test_backward_ito_gap_is_reversed_quadratic_fluctuation(grid8, batch8):
     rev = reverse_batch(batch8)
     for b in (4, 8):
         y = eval_functional(tail_difference(F, b), batch8)
-        ito = backward_ito_eval(phi, batch8, b)
+        ito = backward_ito_eval(phi, rev, b)
         window = rev.increments[:, grid8.n_cells - b :]
         want = np.sum(window**2 - grid8.delta, axis=1)
         np.testing.assert_allclose(y - ito, want, atol=1e-12)
@@ -103,26 +104,28 @@ def test_backward_ito_rejects_nonpredictable_integrand(grid8, batch8):
         grid8, first_order(StepFunction.constant(grid8, 1.0))
     )
     with pytest.raises(ValueError):
-        backward_ito_eval(anticipating, batch8, 8)
+        backward_ito_eval(anticipating, reverse_batch(batch8), 8)
 
 
 def test_hermite_projection_identity(grid8, batch8):
     h = StepFunction.constant(grid8, 1.0)
     for n in (1, 2, 3):
-        lhs, rhs = hermite_projection(n, h, 4, batch8)
-        assert rhs is not None
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+        for b in range(grid8.n_cells + 1):
+            closed = hermite_projection(n, h, b, batch8)
+            # the tail h 1_(t_b,1] vanishes only at b = n_cells
+            assert (closed is None) == (b == grid8.n_cells)
+            if closed is not None:
+                kernel_side = eval_functional(tail_difference(hermite_functional(h, n), b), batch8)
+                np.testing.assert_allclose(kernel_side, closed, atol=1e-10)
 
 
 def test_hermite_projection_degenerate_tail(grid8, batch8):
     h = StepFunction.indicator(grid8, 0, 4).scaled(np.sqrt(2.0))
     assert h.norm() == pytest.approx(1.0)
-    lhs, rhs = hermite_projection(2, h, 6, batch8)
-    assert rhs is None
+    assert hermite_projection(2, h, 6, batch8) is None
+    closed = hermite_projection(2, h, 3, batch8)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
-    np.testing.assert_allclose(
-        lhs, eval_functional(tail_difference(F, 6), batch8), atol=1e-12
-    )
+    np.testing.assert_allclose(closed, eval_functional(tail_difference(F, 3), batch8), atol=1e-10)
 
 
 def test_reversal_index_apis_reject_float_times(grid8, batch8):
@@ -131,7 +134,7 @@ def test_reversal_index_apis_reject_float_times(grid8, batch8):
     with pytest.raises(ValueError, match="integer boundary indices"):
         tail_difference(F, 0.5)
     with pytest.raises(ValueError, match="integer boundary indices"):
-        backward_ito_eval(clark_ocone_integrand(F), batch8, 0.5)
+        backward_ito_eval(clark_ocone_integrand(F), reverse_batch(batch8), 0.5)
     with pytest.raises(ValueError, match="integer boundary indices"):
         hermite_projection(2, StepFunction.constant(grid8, 1.0), 0.5, batch8)
     with pytest.raises(ValueError, match="integer boundary indices"):
@@ -141,6 +144,8 @@ def test_reversal_index_apis_reject_float_times(grid8, batch8):
 def test_hermite_projection_needs_unit_norm(grid8, batch8):
     with pytest.raises(ValueError):
         hermite_projection(2, StepFunction.constant(grid8, 2.0), 4, batch8)
+    with pytest.raises(ValueError, match="negative"):
+        hermite_projection(-1, StepFunction.constant(grid8, 1.0), 4, batch8)
 
 
 def test_quadratic_covariation_deterministic(grid16):

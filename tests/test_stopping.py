@@ -10,7 +10,6 @@ from skorochaos import (
     GridStoppingTime,
     Partition,
     PathBatch,
-    SamplingRow,
     brownian_path_process,
     brownian_terminal_process,
     ito_skorohod_integrand,
@@ -24,11 +23,13 @@ from skorochaos import (
 
 
 def test_deterministic_rule(grid8, batch8):
-    S = GridStoppingTime.deterministic(grid8, 0.5)
+    S = GridStoppingTime.deterministic(grid8, 4)
     assert np.all(S.eval(batch8) == 4)
     np.testing.assert_allclose(S.eval(batch8) * grid8.delta, 0.5)
-    with pytest.raises(ValueError):
-        GridStoppingTime.deterministic(grid8, 0.3)
+    assert np.all(GridStoppingTime.deterministic(grid8, np.int64(8)).eval(batch8) == 8)
+    for bad in (0.5, 0.3, 9, -1, True):
+        with pytest.raises(ValueError, match="integer boundary indices|is not 0 <= a <= b"):
+            GridStoppingTime.deterministic(grid8, bad)
 
 
 def test_level_hitting_convention(grid8):
@@ -55,7 +56,9 @@ def test_first_exit_convention(grid8):
 
 
 def test_labels(grid8):
-    assert GridStoppingTime.deterministic(grid8, 1.0).label() == "deterministic(1)"
+    assert GridStoppingTime.deterministic(grid8, 8).label() == "deterministic(1)"
+    assert GridStoppingTime.deterministic(grid8, 4).label() == "deterministic(0.5)"
+    assert GridStoppingTime.deterministic(grid8, 0).label() == "deterministic(0)"
     assert GridStoppingTime.level_hitting(grid8, 0.5).label() == "level-hitting(0.5)"
     assert GridStoppingTime.first_exit(grid8, -0.5, 0.5).label() == "first-exit(-0.5,0.5)"
 
@@ -79,8 +82,8 @@ def test_decision_ignores_increments_after_stop(seed, filler):
 
 def test_stopped_integral_identity(grid8, batch8):
     rules = (
-        GridStoppingTime.deterministic(grid8, 0.5),
-        GridStoppingTime.deterministic(grid8, 1.0),
+        GridStoppingTime.deterministic(grid8, 4),
+        GridStoppingTime.deterministic(grid8, 8),
         GridStoppingTime.level_hitting(grid8, 0.5),
         GridStoppingTime.first_exit(grid8, -0.5, 0.5),
     )
@@ -92,27 +95,26 @@ def test_stopped_integral_identity(grid8, batch8):
         v = ito_skorohod_integrand(u)
         for d in (1, 2):
             step = step_approximation(v, Partition.dyadic(grid8, d))
-            for rep in stopped_integral(step, rules, batch8):
-                assert rep.max_abs_gap() <= 1e-10
+            for lhs, rhs in stopped_integral(step, rules, batch8):
+                assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
 
 
 def test_optional_sampling_panel(grid16):
     batch = sample_paths(grid16, 4000, seed=33)
     Y = skorohod_process(brownian_terminal_process(grid16))
     S = GridStoppingTime.first_exit(grid16, -0.5, 0.5)
-    T = GridStoppingTime.deterministic(grid16, 1.0)
+    T = GridStoppingTime.deterministic(grid16, 16)
     rows = optional_sampling_check(Y, S, T, batch)
     assert len(rows) >= 5
-    for row in rows:
-        assert isinstance(row, SamplingRow)
-        assert row.n_paths == 4000
-        assert abs(row.z) <= 4.0
+    for _, n_paths, _, _, z in rows:
+        assert n_paths == 4000
+        assert abs(z) <= 4.0
 
 
 def test_optional_sampling_rejects_unordered_times(grid8, batch8):
     Y = skorohod_process(brownian_terminal_process(grid8))
-    S = GridStoppingTime.deterministic(grid8, 1.0)
-    T = GridStoppingTime.deterministic(grid8, 0.5)
+    S = GridStoppingTime.deterministic(grid8, 8)
+    T = GridStoppingTime.deterministic(grid8, 4)
     with pytest.raises(ValueError):
         optional_sampling_check(Y, S, T, batch8)
 
