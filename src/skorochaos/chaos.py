@@ -126,9 +126,6 @@ class ChaosFunctional:
             worst = max(worst, self.kernel(n).max_abs_diff(other.kernel(n)))
         return worst
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self.mean) <= tol and all(f.is_zero(tol) for f in self.kernels.values())
-
     def _check(self, other: "ChaosFunctional") -> None:
         if other.grid != self.grid:
             raise ValueError("functionals live on different grids")
@@ -313,7 +310,7 @@ def malliavin_derivative(F: ChaosFunctional, cell: int) -> ChaosFunctional:
     The result is again a chaos functional; pathwise it equals the exact
     partial derivative of eval_functional with respect to that increment.
     """
-    F.grid.check_cell(cell)
+    cell = F.grid.check_cell(cell)
     mean = 0.0
     ks: dict[int, SymKernel] = {}
     for n, f in F.kernels.items():

@@ -10,8 +10,8 @@ index; ``Grid.boundary_index`` turns a grid-aligned float time into one
 where a config value holds it, ``is_index`` is the one test that an index
 is an integer, ``Grid.check_interval`` is the one check that an index
 pair is integral and in range, and ``Grid.check_cell`` the same for a
-cell index.  The map runs one way: no index becomes a
-float time again.
+cell index, which it hands back as a Python ``int``.  The map runs one
+way: no index becomes a float time again.
 
 The second half of the module implements the region combinatorics used by
 the finite-chaos representation of Skorohod integral processes: for a point
@@ -89,10 +89,11 @@ class Grid:
         if not 0 <= a <= b <= self.n_cells:
             raise ValueError(f"interval ({a}, {b}] is not 0 <= a <= b <= {self.n_cells}")
 
-    def check_cell(self, c: int) -> None:
-        """Raise unless c is an integer cell index, 1 <= c <= n."""
+    def check_cell(self, c: int) -> int:
+        """c as a Python int; raise unless it is an integer cell index, 1 <= c <= n."""
         if not (is_index(c) and 1 <= c <= self.n_cells):
             raise ValueError(f"cell {c!r} out of range: need an integer cell index 1..{self.n_cells}")
+        return int(c)
 
     def cells(self) -> range:
         return range(1, self.n_cells + 1)

@@ -21,15 +21,20 @@ An integral process is read here too, one order at a time, into a
 snapshots in one pass into a (N+1, M) float64 array over the M multisets
 that any snapshot stores (0.0 where one lacks a multiset), with each
 snapshot's dict key order as an index array, ``orderings(mu)`` as float
-weights and the cells as an (M, l) array.  ``region_table`` reads the
-region kernels f_{l,0..l} into the same columns.  The increment energy,
-the resynthesis residual and the martingale defect of ``skorohod.py`` are
-array reductions over these tables; ``ValueTable.max_gap_spread`` is the
-one that sizes the defect.
+weights and the cells as an (M, l) array.  The three reductions that
+``skorohod.py`` runs on a process are table methods: ``increment_norm_sq``
+for the increment energy, ``max_region_gap`` for the resynthesis residual
+(it reads the region kernels f_{l,0..l} into the same columns) and
+``max_gap_spread`` for the martingale defect.  No other module reads the
+table's layout.
+
+The symmetrized product has one loop, ``contract``; ``sym_tensor_product``
+is its depth 0.  ``disjoint_tensor_product`` is the closed form of that
+loop for kernels that share no cell.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()``, ``cells()`` and
-the value tables.
+the value tables' methods.
 Multisets are checked once, where they enter: the public ``SymKernel``
 constructor.  The maps build their results through a private
 constructor, ``SymKernel._built``, that only drops zeros.  It takes over
@@ -74,7 +79,6 @@ __all__ = [
     "region_kernels",
     "ValueTable",
     "value_table",
-    "region_table",
     "tensor_power",
     "from_step",
     "constant_kernel",
@@ -87,40 +91,24 @@ _DENSE_LIMIT = 2_000_000
 _FACTORIALS = tuple(math.factorial(n) for n in range(MAX_ORDER + 1))
 
 
-def _multiplicities(mu: tuple[int, ...]) -> list[int]:
-    out = []
-    prev, run = None, 0
-    for c in mu:
-        if c == prev:
-            run += 1
-        else:
-            if run:
-                out.append(run)
-            prev, run = c, 1
-    if run:
-        out.append(run)
-    return out
-
-
-def orderings(mu: tuple[int, ...]) -> int:
-    """Number of distinct orderings of the multiset: n! / prod m_j!."""
-    if len(set(mu)) == len(mu):
-        return _FACTORIALS[len(mu)]
-    total = math.factorial(len(mu))
-    for m in _multiplicities(mu):
-        total //= math.factorial(m)
-    return total
-
-
-def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
-
-
 def _counts(mu: tuple[int, ...]) -> dict[int, int]:
     d: dict[int, int] = {}
     for c in mu:
         d[c] = d.get(c, 0) + 1
     return d
+
+
+def orderings(mu: tuple[int, ...]) -> int:
+    """Number of distinct orderings of the multiset: n! / prod m_j!."""
+    total = _FACTORIALS[len(mu)]
+    if len(set(mu)) < len(mu):
+        for m in _counts(mu).values():
+            total //= _FACTORIALS[m]
+    return total
+
+
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b))
 
 
 def _remove(mu: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
@@ -214,9 +202,6 @@ class SymKernel:
         """The cells that some stored multiset touches."""
         return {c for mu in self.data for c in mu}
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.data.values())
-
     def norm_sq(self) -> float:
         d = self.grid.delta**self.order
         return sum(v * v * orderings(mu) for mu, v in self.data.items()) * d
@@ -255,24 +240,13 @@ class SymKernel:
 
 
 def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
-    """Symmetrized tensor product of orders p and q (no contraction).
+    """Symmetrized tensor product of orders p and q: ``contract`` at depth 0.
 
     Value at a multiset rho:  C(p+q, p)^{-1} * sum over sub-multisets
     mu of rho of size p of [ways to place mu] * f(mu) * g(rho - mu).
     For disjoint supports this makes I(f) I(g) = I(f x g) exact.
     """
-    if f.grid != g.grid:
-        raise ValueError("kernels live on different grids")
-    n = f.order + g.order
-    if n > MAX_ORDER:
-        raise ValueError(f"product order {n} exceeds the cap {MAX_ORDER}")
-    acc: dict[tuple[int, ...], float] = {}
-    for mu, a in f.data.items():
-        for nu, b in g.data.items():
-            rho = _merge(mu, nu)
-            acc[rho] = acc.get(rho, 0.0) + a * b * _split_weight(rho, mu)
-    scale = 1.0 / math.comb(n, f.order)
-    return SymKernel._built(f.grid, n, {rho: v * scale for rho, v in acc.items()})
+    return contract(f, g, 0)
 
 
 def disjoint_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
@@ -312,24 +286,24 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> SymKernel:
 
     Appears in the product formula for multiple integrals,
     I_p(f) I_q(g) = sum_r r! C(p,r) C(q,r) I_{p+q-2r}(sym(f (x)_r g)).
+    At r = 0 the one shared sub-multiset is the empty one, of weight 1,
+    and this is the symmetrized tensor product.
     """
     if f.grid != g.grid:
         raise ValueError("kernels live on different grids")
     if not 0 <= r <= min(f.order, g.order):
         raise ValueError(f"contraction depth {r} out of range")
-    if r == 0:
-        return sym_tensor_product(f, g)
     n = f.order + g.order - 2 * r
     if n == 0:
         raise ValueError("full contraction is a scalar; use kernel.inner")
     if n > MAX_ORDER:
-        raise ValueError(f"contraction order {n} exceeds the cap {MAX_ORDER}")
+        raise ValueError(f"product order {n} exceeds the cap {MAX_ORDER}")
     dr = f.grid.delta**r
+    gs = [(nug, b, _counts(nug)) for nug, b in g.data.items()]
     acc: dict[tuple[int, ...], float] = {}
     for muf, a in f.data.items():
         cf = _counts(muf)
-        for nug, b in g.data.items():
-            cg = _counts(nug)
+        for nug, b, cg in gs:
             common = {c: min(m, cg.get(c, 0)) for c, m in cf.items() if cg.get(c, 0)}
             if sum(common.values()) < r:
                 continue
@@ -379,7 +353,7 @@ def remove_cell(f: SymKernel, c: int) -> SymKernel:
     """nu -> n * f(nu + c), of order n - 1: the kernel of D_c I_n(f)."""
     if f.order == 1:
         raise ValueError("removing a cell from an order-1 kernel leaves a constant; read value((c,))")
-    f.grid.check_cell(c)
+    c = f.grid.check_cell(c)
     return SymKernel._built(f.grid, f.order - 1, {_remove(mu, (c,)): f.order * v for mu, v in f.data.items() if c in mu})
 
 
@@ -390,7 +364,7 @@ def add_cell(f: SymKernel, c: int) -> SymKernel:
     """
     if f.order == MAX_ORDER:
         raise ValueError(f"kernel order {f.order + 1} outside the supported range 1..{MAX_ORDER}")
-    f.grid.check_cell(c)
+    c = f.grid.check_cell(c)
     out: dict[tuple[int, ...], float] = {}
     for nu, v in f.data.items():
         rho = _merge(nu, (c,))
@@ -400,8 +374,8 @@ def add_cell(f: SymKernel, c: int) -> SymKernel:
 
 def move_cell(f: SymKernel, a: int, c: int, weight: float) -> SymKernel:
     """rho -> f(rho - c + a) * weight * m_c(rho): one copy of cell a moves to cell c."""
-    f.grid.check_cell(a)
-    f.grid.check_cell(c)
+    a = f.grid.check_cell(a)
+    c = f.grid.check_cell(c)
     weight = float(weight)
     out: dict[tuple[int, ...], float] = {}
     for mu, v in f.data.items():
@@ -496,6 +470,54 @@ class ValueTable:
                 worst = spread
         return worst
 
+    def increment_norm_sq(self, lo: int, hi: int) -> float:
+        """||f_hi - f_lo||^2 of rows lo and hi, as ``f_hi.sub(f_lo).norm_sq()`` gives it, bit for bit.
+
+        ``sub`` stores each multiset of row hi in its key order, then row
+        lo's others, and each d = hi - lo is the value ``add`` forms;
+        ``norm_sq`` sums d * d * orderings in that order, one after another
+        as ``sum`` does, so a sequential ``np.cumsum`` gives its bits.  The
+        difference drops a d of 0.0 and the table keeps it, but adding +0.0
+        to a sum of squares changes nothing.  The rows' union stores at
+        least one multiset.
+        """
+        lo_keys = self.key_order[lo]
+        keys = np.concatenate((self.key_order[hi], lo_keys[self.values[hi, lo_keys] == 0.0]))
+        d = self.values[hi, keys] - self.values[lo, keys]
+        return float(np.cumsum(d * d * self.weights[keys])[-1]) * self.grid.delta**self.order
+
+    def max_region_gap(self, regions: Mapping[int, SymKernel]) -> float:
+        """Largest |row b - f_{l,q(mu,b)}(mu)| over the rows b and multisets mu; 0.0 if none is stored.
+
+        The rows are the boundaries 0..n_cells, l is the table's order and
+        ``regions`` maps q = 0..l to the region kernel f_{l,q}, an absent q
+        reading 0.0.  q(mu, b) is the count of mu's cells at or before b.
+        The region kernels are read into rows q = 0..l over the table's
+        columns, then the multisets only they store, which the table
+        reads as 0.0.
+        """
+        l = self.order
+        for q in regions:
+            if not (is_index(q) and 0 <= q <= l):
+                raise ValueError(f"region ({l}, {q!r}) outside q = 0..{l}")
+        by_q = _read_rows(self.grid, l, [regions.get(q) for q in range(l + 1)], self)
+        m = by_q.values.shape[1]
+        if not m:
+            return 0.0
+        values = self.values
+        if values.shape[1] < m:
+            values = np.pad(values, ((0, 0), (0, m - values.shape[1])))
+        # the count of cells at or before b grows by the cells equal to b
+        cols = np.arange(m)
+        steps = np.zeros((self.grid.n_cells + 1, m), dtype=np.int8)
+        np.add.at(steps, (by_q.cells, cols[:, None]), 1)
+        count = np.zeros(m, dtype=np.int8)
+        worst = 0.0
+        for row, step in zip(values, steps):
+            count += step
+            worst = max(worst, float(np.abs(row - by_q.values[count, cols]).max()))
+        return worst
+
 
 def _weights(cells: np.ndarray) -> np.ndarray:
     """orderings(mu) of each sorted row: l! over the product of the multiplicities' factorials."""
@@ -555,20 +577,6 @@ def value_table(grid: Grid, order: int, snapshots: Sequence[SymKernel | None]) -
     if len(snapshots) != n + 1:
         raise ValueError(f"need one snapshot per boundary 0..{n}, got {len(snapshots)}")
     return _read_rows(grid, order, snapshots, None)
-
-
-def region_table(table: ValueTable, regions: Mapping[int, SymKernel]) -> ValueTable:
-    """Region kernels f_{l,q} by q, read as rows q = 0..l over the table's columns.
-
-    l is the table's order and an absent q reads 0.0.  The columns start
-    with the table's, in its order; multisets that only the region kernels
-    store follow.
-    """
-    l = table.order
-    for q in regions:
-        if not (is_index(q) and 0 <= q <= l):
-            raise ValueError(f"region ({l}, {q!r}) outside q = 0..{l}")
-    return _read_rows(table.grid, l, [regions.get(q) for q in range(l + 1)], table)
 
 
 def _dense_guard(grid: Grid, order: int) -> None:

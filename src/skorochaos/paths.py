@@ -86,10 +86,6 @@ class StepFunction:
     def scaled(self, c: float) -> "StepFunction":
         return StepFunction(self.grid, self.values * c)
 
-    def add(self, other: "StepFunction") -> "StepFunction":
-        self._check(other)
-        return StepFunction(self.grid, self.values + other.values)
-
     def multiply(self, other: "StepFunction") -> "StepFunction":
         self._check(other)
         return StepFunction(self.grid, self.values * other.values)

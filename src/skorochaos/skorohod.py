@@ -38,7 +38,6 @@ from .kernels import (
     add_cell,
     move_cell,
     region_kernels,
-    region_table,
     restrict_below_count,
     value_table,
 )
@@ -85,7 +84,7 @@ class ChaosProcess:
         return cls(grid, [F] * grid.n_cells)
 
     def at_cell(self, k: int) -> ChaosFunctional:
-        self.grid.check_cell(k)
+        k = self.grid.check_cell(k)
         return self.functionals[k - 1]
 
     def add(self, other: "ChaosProcess") -> "ChaosProcess":
@@ -405,22 +404,12 @@ def _increment_second_moment(Y: SkorohodProcess, lo: int, hi: int) -> float:
     """Y.at_boundary(hi).sub(Y.at_boundary(lo)).second_moment(), bit for bit, from the value tables.
 
     ``sub`` stores the difference under hi's kernel orders, then lo's
-    others, and each kernel's multisets in hi's key order, then lo's
-    others; each d = hi - lo is the value ``add`` forms.  The kernel sums
-    d * d * orderings in that order, one after another as ``sum`` does, so
-    a sequential ``np.cumsum`` gives its bits.  The difference drops a d
-    of 0.0 and the table keeps it, but adding +0.0 to a sum of squares
-    changes nothing.
+    others; ``ValueTable.increment_norm_sq`` gives each kernel's norm.
     """
     hi_f, lo_f = Y.functionals[hi], Y.functionals[lo]
     variance = 0
     for n in [*hi_f.kernels, *(n for n in lo_f.kernels if n not in hi_f.kernels)]:
-        table = Y.value_table(n)
-        lo_keys = table.key_order[lo]
-        keys = np.concatenate((table.key_order[hi], lo_keys[table.values[hi, lo_keys] == 0.0]))
-        d = table.values[hi, keys] - table.values[lo, keys]
-        inner = float(np.cumsum(d * d * table.weights[keys])[-1]) * Y.grid.delta**n
-        variance += math.factorial(n) * inner
+        variance += math.factorial(n) * Y.value_table(n).increment_norm_sq(lo, hi)
     mean = hi_f.mean + lo_f.mean * -1.0
     return mean**2 + variance
 
@@ -487,28 +476,12 @@ def resynthesis_residual(Y: SkorohodProcess, kernels: dict[tuple[int, int], SymK
     Y_b|.  Every candidate is a nonnegative float, so the largest is the
     float the per-boundary ``max_abs_diff`` returns.
     """
-    grid = Y.grid
     by_order: dict[int, dict[int, SymKernel]] = {}
     for (l, q), f in kernels.items():
         by_order.setdefault(l, {})[q] = f
     worst = max(abs(F.mean) for F in Y.functionals)
     for l in sorted(set(Y.orders()) | set(by_order)):
-        table = Y.value_table(l)
-        regions = region_table(table, by_order.get(l, {}))
-        m = regions.values.shape[1]
-        if not m:
-            continue
-        values = table.values
-        if values.shape[1] < m:  # multisets that only the region kernels store read 0.0 in Y
-            values = np.pad(values, ((0, 0), (0, m - values.shape[1])))
-        # the count of cells at or before b grows by the cells equal to b
-        cols = np.arange(m)
-        steps = np.zeros((grid.n_cells + 1, m), dtype=np.int8)
-        np.add.at(steps, (regions.cells, cols[:, None]), 1)
-        count = np.zeros(m, dtype=np.int8)
-        for row, step in zip(values, steps):
-            count += step
-            worst = max(worst, float(np.abs(row - regions.values[count, cols]).max()))
+        worst = max(worst, Y.value_table(l).max_region_gap(by_order.get(l, {})))
     return worst
 
 

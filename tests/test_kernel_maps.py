@@ -294,7 +294,9 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         (project(f, lo, hi), p),
         (reverse_kernel(f), p),
         (add_cell(f, a), p + 1),
+        (add_cell(f, np.int64(a)), p + 1),
         (move_cell(f, a, b, 0.5), p),
+        (move_cell(f, np.int64(a), np.int64(b), 0.5), p),
         (move_cell(f, a, a, 1.0), p),
         (move_cell(f, a, b, 2), p),
         (move_cell(f, a, b, np.float64(c)), p),
@@ -308,12 +310,14 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
     outputs += [(restrict_below_count(f, k, hi), p) for k in range(p + 1)]
     outputs += [(contract(f, g, r), p + q - 2 * r) for r in range(1, min(p, q) + 1) if p + q > 2 * r]
     if p > 1:
-        outputs.append((remove_cell(f, a), p - 1))
+        outputs += [(remove_cell(f, a), p - 1), (remove_cell(f, np.int64(a)), p - 1)]
     for out, order in outputs:
         assert_well_formed(out, grid, order)
         assert all(out.data is not x.data for x in (f, g, h))
     assert list(f.scaled(np.float64(c)).items()) == list(f.scaled(c).items())
     assert list(move_cell(f, a, b, np.float64(c)).items()) == list(move_cell(f, a, b, c).items())
+    assert list(add_cell(f, np.int64(a)).items()) == list(add_cell(f, a).items())
+    assert list(move_cell(f, np.int64(a), np.int64(b), 0.5).items()) == list(move_cell(f, a, b, 0.5).items())
 
 
 @pytest.mark.parametrize("cell", [0, 9, -1, 1.5, 1.0, True])
@@ -333,5 +337,7 @@ def test_cell_maps_check_their_cell(cell):
     for call in calls:
         with pytest.raises(ValueError, match="need an integer cell index 1..8"):
             call(cell)
-        call(np.int64(1))
-        call(np.int64(8))
+        for good in (np.int64(1), np.int64(8)):
+            out = call(good)
+            stored = out.kernels.values() if isinstance(out, ChaosFunctional) else [out]
+            assert all(type(c) is int for k in stored for mu, _ in k.items() for c in mu)

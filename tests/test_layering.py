@@ -3,7 +3,11 @@
 ``kernels.py`` owns the cell-multiset storage of ``SymKernel``: every
 other module reads kernels through ``items()``, ``value()``, ``len()`` and
 ``cells()`` and builds them through the kernel maps or the public
-constructor, so none of them may touch the ``data`` attribute.  Every
+constructor, so none of them may touch the ``data`` attribute.  It owns
+the layout of a ``ValueTable`` too: other modules call its reductions,
+never read its ``key_order``, ``weights`` or ``multisets``, and import
+from it only names in its ``__all__``, which leaves out the table
+builders' private helpers.  Every
 name a module lists in ``__all__`` must exist in it.  Times are boundary
 indices below the experiment layer: a float time becomes an index only
 where a config value holds it.  The benchmark tracer in
@@ -20,11 +24,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skorochaos"
 OWNER = "kernels.py"
+TABLE_LAYOUT = {"key_order", "weights", "multisets"}
 
 
-def data_reads(path):
+def attribute_reads(path, names):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "data"]
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def kernels_imports(path):
+    """(line, name) of every name the module imports from the kernels module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("kernels", "skorochaos.kernels")
+        for alias in node.names
+    ]
 
 
 TIME_TO_INDEX = {"grid.py", "experiments.py"}
@@ -51,8 +67,24 @@ def test_times_become_indices_only_at_the_edge():
 def test_only_kernels_reads_kernel_storage():
     modules = sorted(PACKAGE.glob("*.py"))
     assert OWNER in {p.name for p in modules}
-    offenders = [f"{p.name}:{line}" for p in modules if p.name != OWNER for line in data_reads(p)]
+    offenders = [f"{p.name}:{line}" for p in modules if p.name != OWNER for line in attribute_reads(p, {"data"})]
     assert offenders == [], f"modules other than {OWNER} read .data: {offenders}"
+
+
+def test_only_kernels_reads_the_value_table_layout():
+    from skorochaos import kernels
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    reads = [f"{p.name}:{line}" for p in modules if p.name != OWNER for line in attribute_reads(p, TABLE_LAYOUT)]
+    assert reads == [], f"modules other than {OWNER} read a value table's layout: {reads}"
+    private = [
+        f"{p.name}:{line} {name}"
+        for p in modules
+        if p.name != OWNER
+        for line, name in kernels_imports(p)
+        if name not in kernels.__all__
+    ]
+    assert private == [], f"modules import names {OWNER} does not export: {private}"
 
 
 def test_every_exported_name_exists():

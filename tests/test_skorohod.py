@@ -16,7 +16,7 @@ from skorochaos.chaos import (
     malliavin_derivative,
 )
 from skorochaos.grid import Grid, Partition
-from skorochaos.kernels import SymKernel, region_table, tensor_power, value_table
+from skorochaos.kernels import SymKernel, tensor_power, value_table
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
     ChaosProcess,
@@ -577,9 +577,9 @@ def test_resynthesis_residual_and_the_table_maps_reject_bad_input(grid8):
     table = value_table(grid8, 2, snapshots)
     for q in (3, -1, 1.0, True):
         with pytest.raises(ValueError, match="outside q"):
-            region_table(table, {q: f})
+            table.max_region_gap({q: f})
     with pytest.raises(ValueError, match="grid or order"):
-        region_table(table, {1: kernels[1, 1]})
+        table.max_region_gap({1: kernels[1, 1]})
 
 
 def test_value_table_layout(grid8):
