@@ -82,9 +82,6 @@ class ChaosFunctional:
     def max_order(self) -> int:
         return max(self.kernels, default=0)
 
-    def kernel(self, n: int) -> SymKernel:
-        return self.kernels.get(n, SymKernel.zero(self.grid, n))
-
     def cells(self) -> set[int]:
         """The cells that some kernel of the functional touches."""
         return set().union(*(f.cells() for f in self.kernels.values()))
@@ -119,12 +116,9 @@ class ChaosFunctional:
     def sub(self, other: "ChaosFunctional") -> "ChaosFunctional":
         return self.add(other.scaled(-1.0))
 
-    def max_abs_diff(self, other: "ChaosFunctional") -> float:
-        self._check(other)
-        worst = abs(self.mean - other.mean)
-        for n in set(self.kernels) | set(other.kernels):
-            worst = max(worst, self.kernel(n).max_abs_diff(other.kernel(n)))
-        return worst
+    def max_abs(self) -> float:
+        """The largest absolute coefficient: |mean| and every stored kernel value."""
+        return max([abs(self.mean), *(f.max_abs() for f in self.kernels.values())])
 
     def _check(self, other: "ChaosFunctional") -> None:
         if other.grid != self.grid:

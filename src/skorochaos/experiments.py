@@ -218,6 +218,11 @@ def _run_geometry(cfg: ExperimentConfig) -> ExperimentResult:
         )
     if not disjoint:
         res.failures.append(f"geometry: {report.multi_covered} points hit two regions")
+    if report.disagreements:
+        res.failures.append(
+            f"geometry: {report.disagreements} of {report.n_points} points where the count criterion"
+            " and the union of t-sections disagree"
+        )
     return res
 
 
@@ -257,23 +262,23 @@ def _run_isometry(cfg: ExperimentConfig) -> ExperimentResult:
     return res
 
 
-def _integrand_family(grid: Grid) -> list[tuple[str, ChaosProcess]]:
-    one = ChaosProcess.constant(grid, constant_functional(grid, 1.0))
+def _integrand_family(grid: Grid) -> dict[str, ChaosProcess]:
+    """The integrands of the exact checks by CSV name, in ``martingale``'s row order."""
     term = brownian_terminal_process(grid)
     path = brownian_path_process(grid)
-    return [
-        ("deterministic_one", one),
-        ("terminal_value", term),
-        ("running_value", path),
-        ("terminal_plus_running", term.add(path)),
-    ]
+    return {
+        "deterministic_one": ChaosProcess.constant(grid, constant_functional(grid, 1.0)),
+        "terminal_value": term,
+        "running_value": path,
+        "terminal_plus_running": term.add(path),
+    }
 
 
 def _run_martingale(cfg: ExperimentConfig) -> ExperimentResult:
     res = _new_result(cfg)
     grid = Grid(cfg.N)
     pairs = grid.n_cells * (grid.n_cells + 1) // 2
-    for name, u in _integrand_family(grid):
+    for name, u in _integrand_family(grid).items():
         worst = max_martingale_defect(skorohod_process(u))
         res.rows.append((name, pairs, worst))
         if worst > _EXACT:
@@ -284,7 +289,7 @@ def _run_martingale(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
     res = _new_result(cfg)
     grid = Grid(cfg.N)
-    u = brownian_terminal_process(grid).add(brownian_path_process(grid))
+    u = _integrand_family(grid)["terminal_plus_running"]
     Y = skorohod_process(u)
     v = ito_skorohod_integrand(u)
     vhats = []
@@ -292,10 +297,7 @@ def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
         step, bf = two_sided_approximation(v, Partition.dyadic(grid, d))
         Z = bf.as_skorohod()
         direct = projected_synthesis_process(step)
-        split_gap = max(
-            Z.at_boundary(b).max_abs_diff(direct.at_boundary(b))
-            for b in range(grid.n_cells + 1)
-        )
+        split_gap = max(F.max_abs() for F in Z.sub(direct).functionals)
         if split_gap > _EXACT:
             res.failures.append(f"theorem1: depth {d} split differs from projection by {split_gap:.3e}")
         vhat = max_increment_energy(Y.sub(Z)).value
@@ -316,7 +318,7 @@ def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _ducnualart_integrand(grid: Grid) -> ChaosProcess:
     """Mixed-order nonadapted integrand used for the region-kernel check."""
-    base = brownian_terminal_process(grid).add(brownian_path_process(grid))
+    base = _integrand_family(grid)["terminal_plus_running"]
     second = ChaosFunctional(grid, 0.0, {2: tensor_power(StepFunction.constant(grid, 1.0), 2)})
     return base.add(ChaosProcess.constant(grid, second))
 
@@ -410,7 +412,8 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
     res = _new_result(cfg)
     grid = Grid(cfg.N)
     batch = sample_paths(grid, cfg.paths, cfg.seed)
-    Y = skorohod_process(brownian_terminal_process(grid))
+    family = _integrand_family(grid)
+    Y = skorohod_process(family["terminal_value"])
     S = GridStoppingTime.first_exit(grid, -0.5, 0.5)
     T = GridStoppingTime.deterministic(grid, grid.boundary_index(1.0))
     rule = f"{S.label()}->{T.label()}"
@@ -426,11 +429,8 @@ def _run_stopping(cfg: ExperimentConfig) -> ExperimentResult:
         GridStoppingTime.first_exit(grid, -0.5, 0.5),
         GridStoppingTime.level_hitting(grid, 10.0),
     ]
-    for name, u in (
-        ("terminal_value", brownian_terminal_process(grid)),
-        ("terminal_plus_running", brownian_terminal_process(grid).add(brownian_path_process(grid))),
-    ):
-        v = ito_skorohod_integrand(u)
+    for name in ("terminal_value", "terminal_plus_running"):
+        v = ito_skorohod_integrand(family[name])
         for d in (1, 2):
             step = step_approximation(v, Partition.dyadic(grid, d))
             for rule_t, (lhs, rhs) in zip(rules, stopped_integral(step, rules, small)):

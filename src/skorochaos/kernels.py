@@ -226,10 +226,9 @@ class SymKernel:
     def sub(self, other: "SymKernel") -> "SymKernel":
         return self.add(other.scaled(-1.0))
 
-    def max_abs_diff(self, other: "SymKernel") -> float:
-        self._check(other)
-        keys = set(self.data) | set(other.data)
-        return max((abs(self.data.get(mu, 0.0) - other.data.get(mu, 0.0)) for mu in keys), default=0.0)
+    def max_abs(self) -> float:
+        """The largest |value| stored, 0.0 when none is."""
+        return max(map(abs, self.data.values()), default=0.0)
 
     def _check(self, other: "SymKernel") -> None:
         if other.grid != self.grid or other.order != self.order:

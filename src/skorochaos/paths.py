@@ -110,12 +110,9 @@ class PathBatch:
     """A batch of Brownian increment vectors, (count, n_cells) float64."""
 
     grid: Grid
-    seed: int
     increments: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _U64:
-            raise ValueError(f"seed={self.seed!r} out of range 0..2**64-1")
         inc = np.ascontiguousarray(self.increments, dtype=float)
         if inc.ndim != 2 or inc.shape[1] != self.grid.n_cells:
             raise ValueError(f"increments shape {inc.shape} does not match {self.grid.n_cells} cells")
@@ -181,7 +178,7 @@ def sample_paths(grid: Grid, count: int, seed: int) -> PathBatch:
         bits = _philox_words(seed, a, b, n) >> np.uint64(11)
         uniforms = (bits + 0.5) * 2.0**-53
         increments[a:b] = ndtri(uniforms) * scale
-    return PathBatch(grid, seed, increments)
+    return PathBatch(grid, increments)
 
 
 def isonormal_eval(batch: PathBatch, f: StepFunction) -> np.ndarray:
@@ -197,5 +194,5 @@ def reverse_batch(batch: PathBatch) -> PathBatch:
     Reversed cell j picks up the original increment of cell n + 1 - j;
     applying the map twice restores the batch.
     """
-    return PathBatch(batch.grid, batch.seed, batch.increments[:, ::-1])
+    return PathBatch(batch.grid, batch.increments[:, ::-1])
 

@@ -240,7 +240,7 @@ class SkorohodProcess:
         increments = batch.increments[order]
         cuts = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)) + 1), batch.count]
         for a, b in zip(cuts, cuts[1:]):
-            sub = PathBatch(batch.grid, batch.seed, increments[a:b])
+            sub = PathBatch(batch.grid, increments[a:b])
             out[:, order[a:b]] = eval_many([self.functionals[i] for i in ordered[:, a]], sub)
         return out
 
@@ -273,15 +273,13 @@ def skorohod_process(u: ChaosProcess) -> SkorohodProcess:
 def martingale_defect(Y: SkorohodProcess, a: int, b: int) -> float:
     """Size of E[Y_b - Y_a | increments outside (a, b]]; zero exactly.
 
-    a <= b are boundary indices.  Returns the largest absolute coefficient
-    of the conditioned difference (its mean and all surviving kernel
-    values).  ``max_martingale_defect`` gives the largest over all pairs in
+    a <= b are boundary indices.  Returns ``max_abs()`` of the conditioned
+    difference: the largest of its |mean| and its surviving |kernel
+    values|.  ``max_martingale_defect`` gives the largest over all pairs in
     one sweep, bit for bit.
     """
     Y.grid.check_interval(a, b)
-    diff = Y.at_boundary(b).sub(Y.at_boundary(a))
-    cond = conditional_expectation(diff, a, b)
-    return cond.max_abs_diff(ChaosFunctional(Y.grid))
+    return conditional_expectation(Y.at_boundary(b).sub(Y.at_boundary(a)), a, b).max_abs()
 
 
 def max_martingale_defect(Y: SkorohodProcess) -> float:
@@ -474,7 +472,8 @@ def resynthesis_residual(Y: SkorohodProcess, kernels: dict[tuple[int, int], SymK
     |Y_b(mu) - f_{l,q(mu,b)}(mu)| over every boundary, order and multiset
     that Y or a region kernel stores (0.0 where none does), and |mean of
     Y_b|.  Every candidate is a nonnegative float, so the largest is the
-    float the per-boundary ``max_abs_diff`` returns.
+    float that ``Y.sub(resynthesize(grid, kernels))`` gives as the largest
+    ``max_abs()`` over its snapshots.
     """
     by_order: dict[int, dict[int, SymKernel]] = {}
     for (l, q), f in kernels.items():

@@ -73,7 +73,7 @@ def test_split_reconstructs_functional(grid8):
         for f in g2.kernels.values():
             assert all(mu[0] > 6 for mu in f.data)
         total = total.add(multiply(g1, g2))
-    assert total.max_abs_diff(F) <= 1e-12
+    assert total.sub(F).max_abs() <= 1e-12
 
 
 def test_split_rejects_window_support(grid8):
@@ -90,7 +90,7 @@ def test_forward_factor_is_a_martingale(grid8):
         later = s.forward_martingale(b2)
         for b1 in range(b2 + 1):
             proj = conditional_expectation(later, b1, grid8.n_cells)
-            assert proj.max_abs_diff(s.forward_martingale(b1)) <= 1e-12
+            assert proj.sub(s.forward_martingale(b1)).max_abs() <= 1e-12
 
 
 def test_backward_factor_is_a_reverse_martingale(grid8):
@@ -101,7 +101,7 @@ def test_backward_factor_is_a_reverse_martingale(grid8):
         early = s.backward_martingale(b1)
         for b2 in range(b1, grid8.n_cells + 1):
             proj = conditional_expectation(early, 0, max(b2, s.hi))
-            assert proj.max_abs_diff(s.backward_martingale(b2)) <= 1e-12
+            assert proj.sub(s.backward_martingale(b2)).max_abs() <= 1e-12
 
 
 def test_summand_value_is_pathwise_product(grid8, batch8):
@@ -133,10 +133,7 @@ def test_two_sided_process_matches_projected_synthesis(grid8):
             step, bf = two_sided_approximation(v, Partition.dyadic(grid8, d))
             Z = bf.as_skorohod()
             direct = projected_synthesis_process(step)
-            worst = max(
-                Z.at_boundary(b).max_abs_diff(direct.at_boundary(b))
-                for b in range(grid8.n_cells + 1)
-            )
+            worst = max(F.max_abs() for F in Z.sub(direct).functionals)
             assert worst <= 1e-12
 
 

@@ -133,8 +133,8 @@ def test_derivative_is_increment_gradient(grid8, batch8):
         up[:, cell - 1] += eps
         down[:, cell - 1] -= eps
         fd = (
-            eval_functional(F, PathBatch(grid8, batch8.seed, up))
-            - eval_functional(F, PathBatch(grid8, batch8.seed, down))
+            eval_functional(F, PathBatch(grid8, up))
+            - eval_functional(F, PathBatch(grid8, down))
         ) / (2 * eps)
         np.testing.assert_allclose(got, fd, atol=1e-7)
 
@@ -153,7 +153,7 @@ def test_conditional_expectation_tower(grid8):
     # knowing cells 1..2 is coarser than knowing cells 1..4
     a = conditional_expectation(conditional_expectation(F, 4, 8), 2, 8)
     b = conditional_expectation(F, 2, 8)
-    assert a.max_abs_diff(b) == 0.0
+    assert a.sub(b).max_abs() == 0.0
     assert conditional_expectation(F, 0, 8).mean == F.mean
 
 
@@ -210,3 +210,67 @@ def test_projection_contracts_variance(F):
     proj = conditional_expectation(F, 2, 4)
     assert proj.variance() <= F.variance() + 1e-12
     assert proj.mean == pytest.approx(F.mean, abs=1e-12)
+
+
+def oracle_kernel_max_abs_diff(f, g):
+    """The binary comparison that ``f.sub(g).max_abs()`` replaced, kept as its oracle."""
+    fd, gd = dict(f.items()), dict(g.items())
+    keys = set(fd) | set(gd)
+    return max((abs(fd.get(mu, 0.0) - gd.get(mu, 0.0)) for mu in keys), default=0.0)
+
+
+def oracle_max_abs_diff(F, G):
+    """The same for functionals: the mean, then every order either side stores."""
+    worst = abs(F.mean - G.mean)
+    for n in set(F.kernels) | set(G.kernels):
+        zero = SymKernel.zero(F.grid, n)
+        worst = max(worst, oracle_kernel_max_abs_diff(F.kernels.get(n, zero), G.kernels.get(n, zero)))
+    return worst
+
+
+_SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0])
+_VALUES = st.one_of(_SIGNED, st.floats(-1e3, 1e3))
+
+
+@st.composite
+def kernel_pairs(draw, grid, n):
+    """Two order-n kernels whose multisets overlap, cancel, differ or are disjoint."""
+    cells = st.integers(1, grid.n_cells)
+    multisets = st.lists(cells, min_size=n, max_size=n).map(lambda xs: tuple(sorted(xs)))
+    left = draw(st.dictionaries(multisets, _VALUES, max_size=5))
+    right = {}
+    for mu, v in left.items():
+        how = draw(st.sampled_from(["cancel", "other", "absent"]))
+        if how != "absent":
+            right[mu] = v if how == "cancel" else draw(_VALUES)
+    if draw(st.booleans()):
+        # multisets of the right side's own: with every left one absent, the key sets are disjoint
+        right.update(draw(st.dictionaries(multisets, _VALUES, max_size=4)))
+    return SymKernel(grid, n, left), SymKernel(grid, n, right)
+
+
+@st.composite
+def functional_pairs(draw):
+    grid = Grid(draw(st.sampled_from([1, 2, 3, 4, 8])))
+    ks = ({}, {})
+    for n in range(1, 4):
+        f, g = draw(kernel_pairs(grid, n))
+        side = draw(st.sampled_from(["both", "left", "right", "neither"]))
+        if side in ("both", "left"):
+            ks[0][n] = f
+        if side in ("both", "right"):
+            ks[1][n] = g
+    means = draw(st.tuples(_SIGNED, _SIGNED) | st.tuples(_VALUES, _VALUES))
+    return tuple(ChaosFunctional(grid, m, k) for m, k in zip(means, ks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=functional_pairs(), data=st.data())
+def test_max_abs_of_the_difference_is_the_old_binary_comparison(pair, data):
+    F, G = pair
+    assert F.sub(G).max_abs().hex() == oracle_max_abs_diff(F, G).hex()
+    assert G.sub(F).max_abs().hex() == oracle_max_abs_diff(G, F).hex()
+    n = data.draw(st.integers(1, 3))
+    f, g = data.draw(kernel_pairs(F.grid, n))
+    assert f.sub(g).max_abs().hex() == oracle_kernel_max_abs_diff(f, g).hex()
+    assert ChaosFunctional(F.grid).max_abs().hex() == (0.0).hex()

@@ -163,7 +163,7 @@ def test_batch_sizes_and_workers_match_oracle(count, parts):
     batch = sample_paths(grid, count, seed=17)
     bounds = np.linspace(0, count, parts + 1).astype(int)
     got = np.concatenate(
-        [eval_many(fs, PathBatch(grid, batch.seed, batch.increments[a:b])) for a, b in zip(bounds, bounds[1:])],
+        [eval_many(fs, PathBatch(grid, batch.increments[a:b])) for a, b in zip(bounds, bounds[1:])],
         axis=1,
     )
     want = oracle_eval_many(fs, batch)
@@ -171,7 +171,7 @@ def test_batch_sizes_and_workers_match_oracle(count, parts):
     assert got.tobytes() == want.tobytes()
     perm = np.random.default_rng(parts).permutation(count)
     rows = perm[perm % 3 != 1]
-    picked = eval_many(fs, PathBatch(grid, batch.seed, batch.increments[rows]))
+    picked = eval_many(fs, PathBatch(grid, batch.increments[rows]))
     assert picked.tobytes() == want[:, rows].tobytes()
 
 

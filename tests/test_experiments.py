@@ -294,7 +294,7 @@ def test_martingale_rows_match_the_per_pair_loop(n):
     from skorochaos.skorohod import martingale_defect, skorohod_process
 
     want = []
-    for name, u in _integrand_family(Grid(n)):
+    for name, u in _integrand_family(Grid(n)).items():
         Y = skorohod_process(u)
         pairs = [martingale_defect(Y, a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
         want.append((name, len(pairs), max(pairs)))
@@ -360,6 +360,21 @@ def test_cli_reports_failures(monkeypatch, capsys):
     assert rc == 1
     assert "FAIL: synthetic failure" in err
     assert "martingale: FAIL (1 rows)" in err
+
+
+def test_geometry_reports_a_disagreement_with_the_section_union(monkeypatch, capsys):
+    from skorochaos import grid
+
+    # every selection region claims every point, so the union hits every count
+    monkeypatch.setattr(grid, "in_selection_region_at", lambda sel, t, x: True)
+    rc = main(["geometry", "--M", "2", "--samples", "20", "--seed", "5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "FAIL: geometry: 20 of 20 points where the count criterion and the union of t-sections disagree" in (
+        captured.err
+    )
+    assert captured.out.startswith("# experiment=geometry\n")
+    assert captured.out.endswith("\nM,t,n_points,covered,disjoint\n2,0.25,20,true,true\n")
 
 
 @pytest.mark.parametrize("name", ["isometry", "reversal", "stopping"])

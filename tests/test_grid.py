@@ -115,3 +115,4 @@ def test_every_generic_point_in_exactly_one_region(total, t, seed):
     report = verify_region_partition(total, t, pts)
     assert report.covered == 20
     assert report.multi_covered == 0
+    assert report.disagreements == 0

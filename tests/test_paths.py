@@ -68,8 +68,6 @@ def test_sampler_zero_paths(grid8):
 def test_out_of_range_seed_rejected(grid8, seed):
     with pytest.raises(ValueError, match=re.escape(str(seed))):
         sample_paths(grid8, 4, seed)
-    with pytest.raises(ValueError, match=re.escape(str(seed))):
-        PathBatch(grid8, seed, np.zeros((2, 8)))
 
 
 def test_increment_moments(grid16):
@@ -117,7 +115,7 @@ def test_reverse_batch_matches_reversed_path(batch8):
 
 def test_batch_shape_validated(grid8):
     with pytest.raises(ValueError):
-        PathBatch(grid8, 0, np.zeros((10, 7)))
+        PathBatch(grid8, np.zeros((10, 7)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -42,7 +42,7 @@ def mixed_functional(grid):
 
 def test_reverse_functional_is_change_of_variables(grid8, batch8):
     F = mixed_functional(grid8)
-    assert reverse_functional(reverse_functional(F)).max_abs_diff(F) == 0.0
+    assert reverse_functional(reverse_functional(F)).sub(F).max_abs() == 0.0
     got = eval_functional(reverse_functional(F), batch8)
     want = eval_functional(F, reverse_batch(batch8))
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -61,9 +61,9 @@ def test_difference_representation_closed_form(grid8, batch8):
 
 def test_representation_endpoints(grid8):
     F = mixed_functional(grid8)
-    assert tail_difference(F, 0).max_abs_diff(ChaosFunctional(grid8, 0.0, {})) == 0.0
+    assert tail_difference(F, 0).max_abs() == 0.0
     centered = F.sub(ChaosFunctional(grid8, F.mean, {}))
-    assert tail_difference(F, grid8.n_cells).max_abs_diff(centered) <= 1e-15
+    assert tail_difference(F, grid8.n_cells).sub(centered).max_abs() <= 1e-15
 
 
 def test_reversed_value_projects_on_reversed_past(grid8):
@@ -72,7 +72,7 @@ def test_reversed_value_projects_on_reversed_past(grid8):
     n = grid8.n_cells
     for b in range(n + 1):
         want = Fr.sub(conditional_expectation(Fr, n - b, n))
-        assert reverse_functional(tail_difference(F, b)).max_abs_diff(want) <= 1e-13
+        assert reverse_functional(tail_difference(F, b)).sub(want).max_abs() <= 1e-13
 
 
 def test_clark_ocone_integrand_closed_form(grid8, batch8):

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end on the public API."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,3 +34,35 @@ def test_convergence_study_prints_both_tables(capsys):
     out = capsys.readouterr().out
     assert f"{'depth':>5} {'energy':>12} {'bound':>12} {'ratio':>8}" in out
     assert f"{'N':>4} {'gap mse':>12} {'resid rms':>12}" in out
+
+
+def test_check_digests_names_an_altered_digest(tmp_path, monkeypatch, capsys):
+    check = _load("check_digests")
+    table = json.loads(check.DIGESTS.read_text())
+    table["martingale"]["1"] = "0" * 64
+    altered = tmp_path / "digests.json"
+    altered.write_text(json.dumps(table))
+    monkeypatch.setattr(check, "DIGESTS", altered)
+    assert check.main(["1", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 1 martingale: sha256 " in out and f"differs from {'0' * 64}" in out
+    assert "FAIL" not in out
+    assert out.endswith("5 of 6 recorded digests unchanged; 0 recorded runs failed\n")
+
+
+def test_check_digests_fails_a_recorded_run_that_fails_its_checks(monkeypatch, capsys):
+    from skorochaos.experiments import SPECS
+
+    spec = SPECS["theorem1"]
+
+    def run(cfg):
+        res = spec.run(cfg)
+        res.failures.append("theorem1: injected")  # not a CSV column, so the bytes stay
+        return res
+
+    monkeypatch.setitem(SPECS, "theorem1", spec._replace(run=run))
+    check = _load("check_digests")
+    assert check.main(["1", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 1 theorem1: FAIL theorem1: injected" in out
+    assert out.endswith("6 of 6 recorded digests unchanged; 1 recorded runs failed\n")

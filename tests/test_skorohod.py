@@ -146,7 +146,7 @@ def test_eval_at_checks_its_indices(grid8, batch8):
     ):
         with pytest.raises(ValueError, match=match):
             Y.eval_at(batch8, ok, bad)
-    empty = PathBatch(grid8, 0, np.empty((0, 8)))
+    empty = PathBatch(grid8, np.empty((0, 8)))
     none = np.zeros(0, dtype=np.int64)
     assert Y.eval_at(empty, none, none).shape == (2, 0)
     with pytest.raises(ValueError, match="one boundary index per path"):
@@ -262,10 +262,7 @@ def test_extraction_and_resynthesis_round_trip(grid8):
         Y = skorohod_process(u)
         kernels = extract_region_kernels(u, Y)
         back = resynthesize(grid8, kernels)
-        worst = max(
-            Y.at_boundary(b).max_abs_diff(back.at_boundary(b))
-            for b in range(grid8.n_cells + 1)
-        )
+        worst = max(F.max_abs() for F in Y.sub(back).functionals)
         assert worst <= 1e-12
 
 
@@ -286,10 +283,7 @@ def test_read_off_against_another_process_leaves_a_residual(grid8):
     u = brownian_terminal_process(grid8)
     other = skorohod_process(brownian_path_process(grid8))
     back = resynthesize(grid8, extract_region_kernels(u, other))
-    worst = max(
-        other.at_boundary(b).max_abs_diff(back.at_boundary(b))
-        for b in range(grid8.n_cells + 1)
-    )
+    worst = max(F.max_abs() for F in other.sub(back).functionals)
     assert worst > 1e-3
     # a process on a finer grid has cells the integrand does not reach
     finer = skorohod_process(brownian_terminal_process(Grid(16)))
@@ -415,7 +409,7 @@ def oracle_increment_energy(Y):
 
 def oracle_resynthesis_residual(Y, kernels):
     rebuilt = resynthesize(Y.grid, kernels)
-    return max(Y.at_boundary(b).max_abs_diff(rebuilt.at_boundary(b)) for b in range(Y.grid.n_cells + 1))
+    return max(F.max_abs() for F in Y.sub(rebuilt).functionals)
 
 
 def oracle_max_gap_spread(grid, order, snapshots):

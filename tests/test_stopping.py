@@ -35,21 +35,21 @@ def test_deterministic_rule(grid8, batch8):
 def test_level_hitting_convention(grid8):
     # a path that steps up then down: hits 0.5 at the second boundary
     inc = np.array([[0.3, 0.3, -0.6, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    batch = PathBatch(grid8, 0, inc)
+    batch = PathBatch(grid8, inc)
     S = GridStoppingTime.level_hitting(grid8, 0.5)
     assert S.eval(batch).tolist() == [2]
     # a path that never reaches the level stops at time 1
-    low = PathBatch(grid8, 0, -np.abs(inc))
+    low = PathBatch(grid8, -np.abs(inc))
     assert S.eval(low).tolist() == [grid8.n_cells]
     assert (S.eval(low) * grid8.delta).tolist() == [1.0]
 
 
 def test_first_exit_convention(grid8):
     inc = np.array([[0.2, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    batch = PathBatch(grid8, 0, inc)
+    batch = PathBatch(grid8, inc)
     S = GridStoppingTime.first_exit(grid8, -0.5, 0.5)
     assert S.eval(batch).tolist() == [3]
-    down = PathBatch(grid8, 0, -inc)
+    down = PathBatch(grid8, -inc)
     assert S.eval(down).tolist() == [3]
     with pytest.raises(ValueError):
         GridStoppingTime.first_exit(grid8, 0.1, 0.5)
@@ -76,7 +76,7 @@ def test_decision_ignores_increments_after_stop(seed, filler):
         inc = batch.increments.copy()
         for i, b in enumerate(idx):
             inc[i, b:] = filler
-        tampered = PathBatch(grid, batch.seed, inc)
+        tampered = PathBatch(grid, inc)
         assert np.array_equal(S.eval(tampered), idx)
 
 
