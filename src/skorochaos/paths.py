@@ -27,7 +27,10 @@ i uses its first n_cells words w_j:
 
 This is the stream of ``np.random.Generator(np.random.Philox(key=seed |
 index << 64)).integers(0, 2**53)``; the sampler computes it for a block of
-paths at once.
+paths at once.  Only k1 differs between paths, and it first enters c2 at
+the end of round 1, so the counters start as one row: c0 is the block
+numbers and c1 = c2 = c3 = 0.  Broadcasting then runs round 1 and the c0
+half of round 2 once per block instead of once per path.
 
 Step functions are deterministic, one value per cell; the isonormal value
 X(f) = sum_k f_k dX_k has covariance equal to the L^2 inner product.
@@ -138,22 +141,34 @@ _BLOCK_PATHS = 4096  # paths sampled together; bounds the size of temporaries
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves.
+
+    The halves, partial products and sums live in four arrays updated in
+    place; additions are mod 2**64, so their order leaves every bit.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LO32, x >> np.uint64(32)
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
-    cross = (lo_lo >> np.uint64(32)) + (hi_lo & _LO32) + lo_hi
-    hi = x_hi * m_hi + (hi_lo >> np.uint64(32)) + (cross >> np.uint64(32))
-    return hi, x * np.uint64(m)
+    cross = x_lo * m_hi
+    hi_lo = x_hi * m_lo
+    x_lo *= m_lo
+    x_lo >>= np.uint64(32)
+    cross += x_lo
+    np.bitwise_and(hi_lo, _LO32, out=x_lo)
+    cross += x_lo
+    cross >>= np.uint64(32)
+    hi_lo >>= np.uint64(32)
+    x_hi *= m_hi
+    x_hi += hi_lo
+    x_hi += cross
+    return x_hi, x * np.uint64(m)
 
 
 def _philox_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The first ``n`` Philox4x64-10 words of paths lo..hi-1, (hi - lo, n) uint64."""
     n_blocks = -(-n // 4)
-    shape = (hi - lo, n_blocks)
     k0, k1 = int(seed), np.arange(lo, hi, dtype=np.uint64)[:, None]
-    c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0 = (k0 + _PHILOX_W[0]) & _U64
@@ -175,9 +190,13 @@ def sample_paths(grid: Grid, count: int, seed: int) -> PathBatch:
     increments = np.empty((count, n))
     for a in range(0, count, _BLOCK_PATHS):
         b = min(a + _BLOCK_PATHS, count)
-        bits = _philox_words(seed, a, b, n) >> np.uint64(11)
-        uniforms = (bits + 0.5) * 2.0**-53
-        increments[a:b] = ndtri(uniforms) * scale
+        out = increments[a:b]
+        bits = out.view(np.uint64)
+        np.right_shift(_philox_words(seed, a, b, n), np.uint64(11), out=bits)
+        np.add(bits, 0.5, out=out)
+        out *= 2.0**-53
+        ndtri(out, out=out)
+        out *= scale
     return PathBatch(grid, increments)
 
 

@@ -215,10 +215,11 @@ class SkorohodProcess:
 
         Row i holds Y at boundary indices[i][p] on path p.  The paths are
         grouped by their tuple of indices, and each group is evaluated in
-        one ``eval_many`` call on its own rows of the batch, so the values
-        at a path's boundaries share their Hermite products.  A path's
-        value depends only on its own increments, so every entry equals
-        the matching entry of ``eval_batch`` bit for bit.
+        one ``eval_many`` call on its own rows of the batch, gathered when
+        that group's turn comes, so the values at a path's boundaries share
+        their Hermite products.  A path's value depends only on its own
+        increments, so every entry equals the matching entry of
+        ``eval_batch`` bit for bit.
         """
         n = self.grid.n_cells
         stacked = np.empty((len(indices), batch.count), dtype=np.int64)
@@ -234,13 +235,12 @@ class SkorohodProcess:
         out = np.empty(stacked.shape)
         if not stacked.size:
             return out
-        # sort the paths by index tuple once, so each group is a slice
+        # sort the paths by index tuple once, so each group is a slice of the order
         order = np.lexsort(stacked[::-1])
         ordered = stacked[:, order]
-        increments = batch.increments[order]
         cuts = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)) + 1), batch.count]
         for a, b in zip(cuts, cuts[1:]):
-            sub = PathBatch(batch.grid, increments[a:b])
+            sub = PathBatch(batch.grid, batch.increments.take(order[a:b], axis=0))
             out[:, order[a:b]] = eval_many([self.functionals[i] for i in ordered[:, a]], sub)
         return out
 

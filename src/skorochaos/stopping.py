@@ -13,7 +13,10 @@ z-scores.  Second, for a step integrand whose interval values have no
 kernel support inside their own interval, the stopped integral equals
 the sum of interval values times stopped increments, pathwise with no
 error beyond float roundoff.  Both checks return plain tuples of numbers
-and arrays, which the experiment layer writes into its rows.
+and arrays, which the experiment layer writes into its rows.  Each check
+reads one boundary walk of its batch (``PathBatch.boundary_values``): the
+rules decide from it through ``GridStoppingTime.eval_walk``, and the
+S-measurable test variables and stopped increments are read off it.
 """
 
 from __future__ import annotations
@@ -76,12 +79,20 @@ class GridStoppingTime:
 
     def eval(self, batch: PathBatch) -> np.ndarray:
         """Boundary index per path, shape (count,), dtype int."""
-        if batch.grid != self.grid:
-            raise ValueError("batch grid differs from stopping-time grid")
+        return self.eval_walk(batch.boundary_values())
+
+    def eval_walk(self, bv: np.ndarray) -> np.ndarray:
+        """Boundary index per path from the boundary values ``bv`` of its batch.
+
+        ``bv`` is (count, n_cells + 1) with X_0 in column 0; a walk with
+        another column count belongs to a batch on another grid.
+        """
         n = self.grid.n_cells
+        if bv.ndim != 2 or bv.shape[1] != n + 1:
+            raise ValueError(f"batch grid differs from stopping-time grid: walk shape {bv.shape}, {n} cells")
         if self.kind == "deterministic":
-            return np.full(batch.count, self.params[0], dtype=np.int64)
-        walk = batch.boundary_values()[:, 1:]
+            return np.full(bv.shape[0], self.params[0], dtype=np.int64)
+        walk = bv[:, 1:]
         if self.kind == "level-hitting":
             cond = walk >= self.params[0]
         elif self.kind == "first-exit":
@@ -94,16 +105,15 @@ class GridStoppingTime:
         return np.where(hit, first, n).astype(np.int64)
 
 
-def _stopped_variables(batch: PathBatch, s_idx: np.ndarray) -> dict[str, np.ndarray]:
-    """Test variables measurable at the stopping time S."""
-    grid = batch.grid
-    bv = batch.boundary_values()
-    rows = np.arange(batch.count)
+def _stopped_variables(grid: Grid, bv: np.ndarray, s_idx: np.ndarray) -> dict[str, np.ndarray]:
+    """Test variables measurable at the stopping time S, read from the boundary values."""
+    count = bv.shape[0]
+    rows = np.arange(count)
     x_s = bv[rows, s_idx]
     quarter = grid.n_cells // 4 if grid.n_cells % 4 == 0 else 1
     x_cap = bv[rows, np.minimum(s_idx, quarter)]
     return {
-        "one": np.ones(batch.count),
+        "one": np.ones(count),
         "stop_time": s_idx * grid.delta,
         "x_at_stop": x_s,
         "x_at_stop_capped": x_cap,
@@ -120,17 +130,22 @@ def optional_sampling_check(
 ) -> list[tuple[str, int, float, float, float]]:
     """z-scores of E[G (Y_T - Y_S)] over a panel of S-measurable G.
 
-    One (test_variable, n_paths, estimate, std_error, z) row per G.  Y is
-    evaluated on each path only at its two stopping times.
+    One (test_variable, n_paths, estimate, std_error, z) row per G.  The
+    check reads one boundary walk of the batch: S, T and every G come from
+    it, and it is released before Y is evaluated, on each path only at its
+    two stopping times.
     """
-    s_idx = S.eval(batch)
-    t_idx = T.eval(batch)
+    bv = batch.boundary_values()
+    s_idx = S.eval_walk(bv)
+    t_idx = T.eval_walk(bv)
     if np.any(s_idx > t_idx):
         raise ValueError("S exceeds T on some path")
+    variables = _stopped_variables(batch.grid, bv, s_idx)
+    del bv
     y_t, y_s = Y.eval_at(batch, t_idx, s_idx)
     diff = y_t - y_s
     out = []
-    for name, g in _stopped_variables(batch, s_idx).items():
+    for name, g in variables.items():
         prod = g * diff
         est = float(np.mean(prod))
         se = float(np.std(prod, ddof=1) / np.sqrt(batch.count))
@@ -156,7 +171,7 @@ def stopped_integral(
     curve = skorohod_process(step.as_process()).eval_batch(batch)
     out = []
     for T in times:
-        t_idx = T.eval(batch)
+        t_idx = T.eval_walk(bv)
         lhs = np.zeros(batch.count)
         for i, (lo, hi) in enumerate(step.partition.intervals()):
             left = bv[rows, np.minimum(t_idx, lo)]

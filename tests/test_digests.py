@@ -65,3 +65,12 @@ def test_csv_bytes_match_pinned_digest(kw, digest):
     res = run_experiment(ExperimentConfig(seed=SEED, **kw))
     assert res.ok, res.failures
     assert hashlib.sha256(res.csv_text().encode("utf-8")).hexdigest() == digest
+
+
+def test_interpreter_sums_floats_left_to_right():
+    # CPython 3.12 made builtin sum() of floats compensated; SymKernel.norm_sq,
+    # SymKernel.inner and max_increment_energy feed CSV values through sum()
+    assert sum([1e16, 1.0, -1e16]) == 0.0, (
+        "builtin sum() of floats is compensated on this interpreter (CPython >= 3.12), so CSV values "
+        "can differ in their last digits from the bytes pinned in perfbench/digests.json, recorded on CPython < 3.12"
+    )

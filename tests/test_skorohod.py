@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skorochaos.chaos import (
+    _EVAL_BLOCK,
     ChaosFunctional,
     conditional_expectation,
     constant_functional,
@@ -125,13 +126,39 @@ def eval_at_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=eval_at_cases())
 def test_eval_at_reads_the_curve_bit_for_bit(case):
-    Y, batch, indices = case
+    _assert_eval_at_matches_curve(*case)
+
+
+def _assert_eval_at_matches_curve(Y, batch, indices):
+    """eval_at against the eval_batch columns, bit for bit, leaving the increments as they were."""
+    before = batch.increments.copy()
     curve = Y.eval_batch(batch)
     got = Y.eval_at(batch, *indices)
     assert got.shape == (len(indices), batch.count)
     for row, idx in zip(got, indices):
         want = curve[np.arange(batch.count), idx]
         assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert np.array_equal(batch.increments.view(np.int64), before.view(np.int64))
+
+
+def test_eval_at_gathers_a_group_larger_than_an_evaluation_block():
+    # one index tuple on _EVAL_BLOCK + 1 scattered paths, so eval_many splits
+    # that gathered group into two blocks; a few other paths form small groups
+    grid = Grid(4)
+    big = _EVAL_BLOCK + 1
+    batch = sample_paths(grid, big + 7, seed=11)
+    tuples = np.c_[np.tile([[3], [4]], big), [[0, 1, 2, 4, 0, 1, 2], [4, 1, 3, 4, 2, 2, 0]]]
+    tuples = tuples[:, np.random.default_rng(0).permutation(batch.count)]
+    assert np.unique(tuples, axis=1, return_counts=True)[1].max() == big
+    _assert_eval_at_matches_curve(mixed_order_process(grid), batch, list(tuples))
+
+
+def test_eval_at_with_one_path_per_group(grid8):
+    n = grid8.n_cells
+    pairs = np.array(list(itertools.product(range(n + 1), repeat=2)))
+    pairs = pairs[np.random.default_rng(1).permutation(len(pairs))]
+    batch = sample_paths(grid8, len(pairs), seed=12)
+    _assert_eval_at_matches_curve(mixed_order_process(grid8), batch, [pairs[:, 0], pairs[:, 1]])
 
 
 def test_eval_at_checks_its_indices(grid8, batch8):

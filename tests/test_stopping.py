@@ -111,6 +111,45 @@ def test_optional_sampling_panel(grid16):
         assert abs(z) <= 4.0
 
 
+def test_optional_sampling_rows_rebuilt_from_their_parts(grid16):
+    # every row from S.eval, T.eval, the eval_batch columns and the boundary walk, bit for bit
+    batch = sample_paths(grid16, 3000, seed=34)
+    Y = skorohod_process(brownian_terminal_process(grid16).add(brownian_path_process(grid16)))
+    T = GridStoppingTime.deterministic(grid16, 16)
+    rows = np.arange(batch.count)
+    curve = Y.eval_batch(batch)
+    bv = batch.boundary_values()
+    for S in (GridStoppingTime.first_exit(grid16, -0.5, 0.5), GridStoppingTime.level_hitting(grid16, 0.3)):
+        s_idx = S.eval(batch)
+        diff = curve[rows, T.eval(batch)] - curve[rows, s_idx]
+        x_s = bv[rows, s_idx]
+        panel = {
+            "one": np.ones(batch.count),
+            "stop_time": s_idx * grid16.delta,
+            "x_at_stop": x_s,
+            "x_at_stop_capped": bv[rows, np.minimum(s_idx, 4)],
+            "sign_x": np.sign(x_s),
+            "tanh_x": np.tanh(x_s),
+        }
+        want = []
+        for name, g in panel.items():
+            prod = g * diff
+            est = float(np.mean(prod))
+            se = float(np.std(prod, ddof=1) / np.sqrt(batch.count))
+            want.append((name, batch.count, est, se, 0.0 if se == 0.0 and est == 0.0 else est / se))
+        assert optional_sampling_check(Y, S, T, batch) == want
+
+
+def test_optional_sampling_rejects_a_batch_on_another_grid(grid16, batch8):
+    Y = skorohod_process(brownian_terminal_process(grid16))
+    S = GridStoppingTime.first_exit(grid16, -0.5, 0.5)
+    T = GridStoppingTime.deterministic(grid16, 16)
+    with pytest.raises(ValueError, match="grid"):
+        optional_sampling_check(Y, S, T, batch8)
+    with pytest.raises(ValueError, match="grid"):
+        S.eval(batch8)
+
+
 def test_optional_sampling_rejects_unordered_times(grid8, batch8):
     Y = skorohod_process(brownian_terminal_process(grid8))
     S = GridStoppingTime.deterministic(grid8, 8)
