@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosFunctional, conditional_expectation, first_order, multiply
+from .chaos import ChaosFunctional, conditional_expectation, first_order, multiply, sum_functionals
 from .grid import Grid, Partition
 from .kernels import SymKernel
 from .paths import StepFunction
@@ -120,10 +120,7 @@ class BFProcess:
     summands: tuple[BFSummand, ...]
 
     def value_at(self, b: int) -> ChaosFunctional:
-        total = ChaosFunctional(self.grid, 0.0, {})
-        for s in self.summands:
-            total = total.add(s.value_at(b))
-        return total
+        return sum_functionals(self.grid, (s.value_at(b) for s in self.summands))
 
     def as_skorohod(self) -> SkorohodProcess:
         return SkorohodProcess(self.grid, [self.value_at(b) for b in range(self.grid.n_cells + 1)])

@@ -18,17 +18,27 @@ multiplication formula for multiple integrals.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .grid import Grid
-from .kernels import SymKernel, contract, disjoint_tensor_product, from_step, project, remove_cell, tensor_power
+from .kernels import (
+    KernelSum,
+    SymKernel,
+    contract,
+    disjoint_tensor_product,
+    from_step,
+    project,
+    remove_cell,
+    tensor_power,
+)
 from .paths import PathBatch, StepFunction
 
 __all__ = [
     "hermite_values",
     "ChaosFunctional",
+    "sum_functionals",
     "constant_functional",
     "first_order",
     "hermite_functional",
@@ -114,7 +124,12 @@ class ChaosFunctional:
         return ChaosFunctional(self.grid, self.mean + other.mean, ks)
 
     def sub(self, other: "ChaosFunctional") -> "ChaosFunctional":
-        return self.add(other.scaled(-1.0))
+        """``add(other.scaled(-1.0))`` bit for bit: fl(a + (-b)) = fl(a - b)."""
+        self._check(other)
+        ks = dict(self.kernels)
+        for n, g in other.kernels.items():
+            ks[n] = ks[n].sub(g) if n in ks else g.scaled(-1.0)
+        return ChaosFunctional(self.grid, self.mean - other.mean, ks)
 
     def max_abs(self) -> float:
         """The largest absolute coefficient: |mean| and every stored kernel value."""
@@ -127,6 +142,22 @@ class ChaosFunctional:
     def __repr__(self) -> str:
         orders = sorted(self.kernels)
         return f"ChaosFunctional(mean={self.mean!r}, orders={orders})"
+
+
+def sum_functionals(grid: Grid, terms: Iterable[ChaosFunctional]) -> ChaosFunctional:
+    """``ChaosFunctional(grid, 0.0, {}).add(F1).add(F2)...`` over the terms, bit for bit.
+
+    The kernels go into one ``KernelSum``, so the running sum is never
+    copied; the means are added in turn from 0.0.
+    """
+    mean = 0.0
+    acc = KernelSum(grid)
+    for F in terms:
+        if F.grid != grid:
+            raise ValueError("functionals live on different grids")
+        mean += F.mean
+        acc.add(F.kernels)
+    return ChaosFunctional(grid, mean, acc.kernels())
 
 
 def constant_functional(grid: Grid, c: float) -> ChaosFunctional:
@@ -233,6 +264,29 @@ def _factor_rows(mu: tuple[int, ...], n_cells: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _distinct(functionals: Sequence[ChaosFunctional]) -> tuple[list[ChaosFunctional], list[int]]:
+    """The functionals that evaluate differently, first seen first, and each one's index among them.
+
+    Candidates come from a dict keyed on the mean's bits and each order's
+    term count, so only functionals that may match are compared.
+    """
+    distinct: list[ChaosFunctional] = []
+    rows: list[int] = []
+    seen: dict[tuple, list[int]] = {}
+    for F in functionals:
+        key = (F.mean, math.copysign(1.0, F.mean), tuple(sorted((n, len(f)) for n, f in F.kernels.items())))
+        candidates = seen.setdefault(key, [])
+        # the key fixes the mean's bits and the orders; the kernels decide the rest
+        same = (i for i in candidates if all(f.same_terms(distinct[i].kernels[n]) for n, f in F.kernels.items()))
+        i = next(same, None)
+        if i is None:
+            i = len(distinct)
+            candidates.append(i)
+            distinct.append(F)
+        rows.append(i)
+    return distinct, rows
+
+
 def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.ndarray:
     """Evaluate several functionals pathwise; returns (len(functionals), count).
 
@@ -241,10 +295,17 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     in order (kernels by order, then ``items()``), each term the product of
     its Hermite factors taken left to right.
 
-    The call compiles one program.  Each functional's multisets are merged
-    into the order of the first group whose known multisets it meets in the
-    same order (its new ones go right after its previous one); a functional
-    that fits no group starts a new one.  So each functional's term order
+    Each distinct functional is evaluated once, and its row is copied to
+    the functionals that equal it.  Two functionals count as equal only
+    when they would get the same float operations: the same mean bits (so
+    0.0 and -0.0 stay apart) and, order by order, kernels with the same
+    values in the same key order (``SymKernel.same_terms``).
+
+    The call compiles one program for the distinct functionals.  Each
+    one's multisets are merged into the order of the first group whose
+    known multisets it meets in the same order (its new ones go right
+    after its previous one); a functional that fits no group starts a
+    new one.  So each functional's term order
     is a subsequence of its group order, and walking the group order once
     per path block visits every row's terms in that row's own order.  Each
     product is built once per block from a Hermite table laid out as
@@ -262,6 +323,12 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     for F in functionals:
         if F.grid != batch.grid:
             raise ValueError("functional and batch live on different grids")
+    distinct, rows = _distinct(functionals)
+    out = _evaluate(distinct, batch)
+    return out if len(distinct) == len(functionals) else out[rows]
+
+
+def _evaluate(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.ndarray:
     count = batch.count
     out = np.empty((len(functionals), count), dtype=np.float64)
     out[:] = np.array([F.mean for F in functionals], dtype=np.float64)[:, None]

@@ -32,6 +32,12 @@ The symmetrized product has one loop, ``contract``; ``sym_tensor_product``
 is its depth 0.  ``disjoint_tensor_product`` is the closed form of that
 loop for kernels that share no cell.
 
+A long sum of kernels is a ``KernelSum``: it adds each stack of kernels,
+one per order, into one dict per order, and gives bit for bit what a
+left fold of ``SymKernel.add`` gives, without copying the running sum at
+every step.  ``SymKernel.same_terms`` tells whether two kernels store the
+same values in the same key order, which is when they evaluate alike.
+
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()``, ``cells()`` and
 the value tables' methods.
@@ -67,6 +73,7 @@ __all__ = [
     "MAX_ORDER",
     "MAX_CELLS",
     "SymKernel",
+    "KernelSum",
     "sym_tensor_product",
     "disjoint_tensor_product",
     "contract",
@@ -203,8 +210,13 @@ class SymKernel:
         return {c for mu in self.data for c in mu}
 
     def norm_sq(self) -> float:
+        """sum_mu f(mu)^2 * orderings(mu) * delta^n, summed in key order one term after another."""
         d = self.grid.delta**self.order
-        return sum(v * v * orderings(mu) for mu, v in self.data.items()) * d
+        if not self.data:
+            return 0.0
+        v = np.fromiter(self.data.values(), dtype=np.float64, count=len(self.data))
+        w = _weights(np.array(list(self.data), dtype=np.intp))
+        return float(np.cumsum(v * v * w)[-1]) * d
 
     def inner(self, other: "SymKernel") -> float:
         self._check(other)
@@ -224,7 +236,27 @@ class SymKernel:
         return SymKernel._built(self.grid, self.order, out)
 
     def sub(self, other: "SymKernel") -> "SymKernel":
-        return self.add(other.scaled(-1.0))
+        """``add(other.scaled(-1.0))`` bit for bit: fl(a + (-b)) = fl(a - b)."""
+        self._check(other)
+        out = dict(self.data)
+        for mu, v in other.data.items():
+            out[mu] = out.get(mu, 0.0) - v
+        return SymKernel._built(self.grid, self.order, out)
+
+    def same_terms(self, other: "SymKernel") -> bool:
+        """Whether both store the same values under the same multisets, in the same key order.
+
+        A stored value is never zero, so equal values have equal bits.
+        """
+        if self is other:
+            return True
+        return (
+            self.grid == other.grid
+            and self.order == other.order
+            and len(self.data) == len(other.data)
+            and self.data == other.data
+            and list(self.data) == list(other.data)
+        )
 
     def max_abs(self) -> float:
         """The largest |value| stored, 0.0 when none is."""
@@ -236,6 +268,51 @@ class SymKernel:
 
     def __repr__(self) -> str:
         return f"SymKernel(order={self.order}, cells={self.grid.n_cells}, nnz={len(self.data)})"
+
+
+class KernelSum:
+    """A running sum of kernel stacks {order: kernel}, one dict per order.
+
+    ``kernels()`` is bit for bit the left fold that starts from no orders
+    and, for each stack ``add`` was given, replaces each order's running
+    kernel by ``running.add(kernel)`` (the stack's kernel itself for a new
+    order), then drops the orders left empty, as ``ChaosFunctional.add``
+    does: the same values, the same key order in each kernel and the same
+    order of the orders.  Each sum is formed in place instead of on a copy
+    of the running dict.  A multiset whose sum reaches 0.0 leaves its dict
+    at once, where ``SymKernel._built`` would drop it after that ``add``, so
+    it re-enters at the end; an order whose dict empties leaves and
+    re-enters at the end the same way.
+    """
+
+    __slots__ = ("grid", "_sums")
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._sums: dict[int, dict[tuple[int, ...], float]] = {}
+
+    def add(self, kernels: Mapping[int, SymKernel]) -> None:
+        for n, f in kernels.items():
+            if f.grid != self.grid or f.order != n:
+                raise ValueError("kernel differs from the sum in grid or order")
+            acc = self._sums.get(n)
+            if acc is None:
+                if f.data:
+                    self._sums[n] = dict(f.data)
+                continue
+            for mu, v in f.data.items():
+                s = acc.get(mu, 0.0) + v
+                if s == 0.0:
+                    del acc[mu]
+                else:
+                    acc[mu] = s
+            if not acc:
+                del self._sums[n]
+
+    def kernels(self) -> dict[int, SymKernel]:
+        """The sum so far, by order; the sum starts again from no orders."""
+        sums, self._sums = self._sums, {}
+        return {n: SymKernel._built(self.grid, n, d) for n, d in sums.items()}
 
 
 def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
@@ -254,6 +331,8 @@ def disjoint_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
     Each multiset rho = mu + nu then splits one way only, with weight 1, so
     its value is f(mu) * g(nu) * C(p+q, p)^{-1}, in the order of the nested
     loop over f and g.  The caller guarantees that the supports are disjoint.
+    When one support lies wholly before the other, as the forward and
+    backward factors of a two-sided summand do, rho is the concatenation.
     """
     if f.grid != g.grid:
         raise ValueError("kernels live on different grids")
@@ -261,9 +340,17 @@ def disjoint_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:
     if n > MAX_ORDER:
         raise ValueError(f"product order {n} exceeds the cap {MAX_ORDER}")
     scale = 1.0 / math.comb(n, f.order)
-    return SymKernel._built(
-        f.grid, n, {_merge(mu, nu): a * b * scale for mu, a in f.data.items() for nu, b in g.data.items()}
-    )
+    fs, gs = f.data.items(), g.data.items()
+    if not (fs and gs):
+        return SymKernel._built(f.grid, n, {})
+    # when one support lies wholly before the other, the sorted merge is a concatenation
+    if max(mu[-1] for mu in f.data) <= min(nu[0] for nu in g.data):
+        out = {mu + nu: a * b * scale for mu, a in fs for nu, b in gs}
+    elif max(nu[-1] for nu in g.data) <= min(mu[0] for mu in f.data):
+        out = {nu + mu: a * b * scale for mu, a in fs for nu, b in gs}
+    else:
+        out = {_merge(mu, nu): a * b * scale for mu, a in fs for nu, b in gs}
+    return SymKernel._built(f.grid, n, out)
 
 
 def _sub_multisets(counts: dict[int, int], size: int) -> Iterator[tuple[int, ...]]:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chaos import ChaosFunctional, conditional_expectation, eval_many, first_order, multiply
+from .chaos import ChaosFunctional, conditional_expectation, eval_many, first_order, multiply, sum_functionals
 from .grid import Grid, Partition, is_index
 from .kernels import (
     SymKernel,
@@ -348,9 +348,7 @@ def step_approximation(v: ChaosProcess, partition: Partition) -> StepProcess:
     grid = v.grid
     values = []
     for lo, hi in partition.intervals():
-        acc = ChaosFunctional(grid, 0.0, {})
-        for c in range(lo + 1, hi + 1):
-            acc = acc.add(conditional_expectation(v.at_cell(c), lo, hi))
+        acc = sum_functionals(grid, (conditional_expectation(v.at_cell(c), lo, hi) for c in range(lo + 1, hi + 1)))
         values.append(acc.scaled(1.0 / (hi - lo)))
     return StepProcess(grid, partition, tuple(values))
 
@@ -375,18 +373,16 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     intervals = list(step.partition.intervals())
     # up to b = hi an interval's coefficient is conditioned on (lo, hi]: build it once
     within = [conditional_expectation(F, lo, hi) for (lo, hi), F in zip(intervals, step.values)]
-    snapshots = [ChaosFunctional(grid, 0.0, {})]
-    for b in range(1, grid.n_cells + 1):
-        total = ChaosFunctional(grid, 0.0, {})
+    def summands(b: int) -> Iterator[ChaosFunctional]:
         for (lo, hi), F, coef in zip(intervals, step.values, within):
             if lo >= b:
                 continue
-            z = min(hi, b)
             if b > hi:
                 coef = conditional_expectation(F, lo, b)
-            inc = first_order(StepFunction.indicator(grid, lo, z))
-            total = total.add(multiply(coef, inc))
-        snapshots.append(total)
+            yield multiply(coef, first_order(StepFunction.indicator(grid, lo, min(hi, b))))
+
+    snapshots = [ChaosFunctional(grid, 0.0, {})]
+    snapshots += [sum_functionals(grid, summands(b)) for b in range(1, grid.n_cells + 1)]
     return SkorohodProcess(grid, snapshots)
 
 

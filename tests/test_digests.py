@@ -7,8 +7,9 @@ must pass their own checks and give the same bytes, as the benchmark
 requires of every pass: state left behind by one run must not change the
 next.  Both files are only read.
 
-The exact experiments at N=64, and ``geometry``, which no workload runs,
-are pinned here by their sha256 at seed 1 and the default config.
+The exact experiments at N=64, ``reversal`` at N=64 with n=3, and
+``geometry``, which no workload runs, are pinned here by their sha256 at
+seed 1 and the default config otherwise.
 """
 
 import hashlib
@@ -53,6 +54,11 @@ PINNED = [
     (dict(experiment="martingale", N=64), "e8b44fb54370ce8dadfe93f142bbf559a700976041cc650f37557654c817469c"),
     (dict(experiment="theorem1", N=64, depth=4), "54735cccbfd5e404d0d361546ce8f8a6b14b541c3f760fcdcef14f741aa74bf1"),
     (dict(experiment="ducnualart", N=64), "c401e37349cb4a57c10e6f422ea613f2e8a385bf736b18138299a5de0404dfaa"),
+    # the workloads run reversal at n=2 only; n=3 covers its order-3 panel
+    (
+        dict(experiment="reversal", N=64, n=3, t=0.5, paths=10_000),
+        "ef4704d2dc069f8fa4d748383ae1d544caf6e216d2d8403fa20c53fce0010c1d",
+    ),
     (
         dict(experiment="geometry", M=3, t=0.25, samples=1000),
         "a4584510d3d941e292a9be6c01c43e605444a1942be3cd9db09810223b1753f8",
@@ -68,8 +74,9 @@ def test_csv_bytes_match_pinned_digest(kw, digest):
 
 
 def test_interpreter_sums_floats_left_to_right():
-    # CPython 3.12 made builtin sum() of floats compensated; SymKernel.norm_sq,
-    # SymKernel.inner and max_increment_energy feed CSV values through sum()
+    # CPython 3.12 made builtin sum() of floats compensated; SymKernel.inner and
+    # max_increment_energy feed CSV values through sum() (SymKernel.norm_sq sums
+    # with a sequential np.cumsum, which no interpreter changes)
     assert sum([1e16, 1.0, -1e16]) == 0.0, (
         "builtin sum() of floats is compensated on this interpreter (CPython >= 3.12), so CSV values "
         "can differ in their last digits from the bytes pinned in perfbench/digests.json, recorded on CPython < 3.12"

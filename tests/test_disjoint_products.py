@@ -122,7 +122,12 @@ def test_disjoint_tensor_product_is_sym_tensor_product(data):
     grid = Grid(data.draw(st.integers(1, 8)))
     p = data.draw(st.integers(1, 3))
     q = data.draw(st.integers(1, 5 - p))
-    inside = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
+    # the cells of f: any set, or the cells up to a boundary, where f's support lies wholly before g's
+    split = data.draw(st.none() | st.integers(0, grid.n_cells))
+    if split is None:
+        inside = frozenset(data.draw(st.lists(st.integers(1, grid.n_cells), max_size=grid.n_cells)))
+    else:
+        inside = frozenset(range(1, split + 1))
 
     def kernel(n, cells):
         multisets = st.lists(st.integers(1, grid.n_cells), min_size=n, max_size=n).map(lambda xs: tuple(sorted(xs)))
@@ -131,6 +136,7 @@ def test_disjoint_tensor_product_is_sym_tensor_product(data):
 
     f, g = kernel(p, inside), kernel(q, frozenset(grid.cells()) - inside)
     assert list(disjoint_tensor_product(f, g).items()) == list(sym_tensor_product(f, g).items())
+    assert list(disjoint_tensor_product(g, f).items()) == list(sym_tensor_product(g, f).items())
 
 
 def test_disjoint_tensor_product_order_cap():

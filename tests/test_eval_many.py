@@ -4,7 +4,10 @@
 its own and rebuilt every Hermite product for every functional holding
 it.  The library shares products across functionals; it must still give
 every row the same float operations in the same order, so the outputs
-are compared with ``tobytes()``, which also tells -0.0 from 0.0.
+are compared with ``tobytes()``, which also tells -0.0 from 0.0.  It
+evaluates each distinct functional once; a repeated one must still get
+the row it gets alone, and two functionals whose floats could differ
+must never be taken for one.
 """
 
 import itertools
@@ -15,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skorochaos.chaos import ChaosFunctional, constant_functional, eval_many, first_order, hermite_values
+from skorochaos.chaos import (
+    ChaosFunctional,
+    _distinct,
+    constant_functional,
+    eval_many,
+    first_order,
+    hermite_values,
+)
 from skorochaos.grid import Grid
 from skorochaos.kernels import SymKernel, tensor_power
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
@@ -178,3 +188,58 @@ def test_batch_sizes_and_workers_match_oracle(count, parts):
 def test_no_functionals():
     grid = Grid(4)
     assert eval_many([], sample_paths(grid, 10, seed=1)).shape == (0, 10)
+
+
+def copied(F):
+    """An equal functional that shares no object with F."""
+    return ChaosFunctional(F.grid, F.mean, {n: SymKernel(F.grid, n, dict(f.items())) for n, f in F.kernels.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=functional_lists(),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=12),
+    count=st.integers(0, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_repeated_functionals_get_their_own_rows(case, picks, count, seed):
+    grid, fs = case
+    listed = [copied(fs[i % len(fs)]) if copy else fs[i % len(fs)] for i, copy in picks] if fs else []
+    batch = sample_paths(grid, count, seed)
+    got = eval_many(listed, batch)
+    assert got.shape == (len(listed), count)
+    for row, F in zip(got, listed):
+        assert row.tobytes() == eval_many([F], batch)[0].tobytes()
+    assert got.tobytes() == oracle_eval_many(listed, batch).tobytes()
+
+
+def test_repeats_are_evaluated_once():
+    grid = Grid(4)
+    F = ChaosFunctional(
+        grid, 0.5, {2: _kernel(grid, 2, [((1, 2), 0.3), ((3, 4), -1.1)]), 1: _kernel(grid, 1, [((2,), 2.0)])}
+    )
+    zero = constant_functional(grid, 0.0)
+    distinct, rows = _distinct([F, zero, copied(F), F, ChaosFunctional(grid, 0.0, {}), copied(F)])
+    assert distinct[0] is F and distinct[1] is zero
+    assert rows == [0, 1, 0, 0, 1, 0]
+
+
+def test_the_same_dict_in_another_key_order_is_not_merged():
+    # equal dicts, but the terms are added in another order, which can round differently
+    grid = Grid(4)
+    a = ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((1, 2), 1e16), ((3, 4), 1.0), ((1, 1), -1e16)])})
+    b = ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((1, 1), -1e16), ((3, 4), 1.0), ((1, 2), 1e16)])})
+    assert dict(a.kernels[2].items()) == dict(b.kernels[2].items())
+    assert _distinct([a, b])[1] == [0, 1]
+    assert_same_bytes([a, b, a, b], sample_paths(grid, 200, seed=9))
+
+
+def test_means_of_zero_and_negative_zero_are_not_merged():
+    grid = Grid(4)
+    k = {1: _kernel(grid, 1, [((3,), 0.25)])}
+    fs = [ChaosFunctional(grid, mean, ks) for ks in ({}, k) for mean in (0.0, -0.0)]
+    assert _distinct(fs)[1] == [0, 1, 2, 3]
+    batch = sample_paths(grid, 50, seed=4)
+    rows = eval_many(fs + fs, batch)
+    assert not np.signbit(rows[0]).any() and np.signbit(rows[1]).all()
+    assert_same_bytes(fs + fs, batch)
