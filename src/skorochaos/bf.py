@@ -13,6 +13,13 @@ M_t N_t.  Kernel-wise the sum at each boundary coincides exactly with the
 conditioned product-sum form of the step approximation, so both roads to
 the two-sided process agree pathwise, not just in law.
 
+Each summand's values are one product, conditioned.  With P = G1 *
+(X_{a'} - X_a) * G2, every multiset of P has exactly one cell in the
+window, and M_t N_t = E[P | increments outside (min(t, a'), max(t, a')]]:
+before a' the window is cut at t, after a' the backward factor loses the
+increments of (a', t].  So ``BFProcess.as_skorohod`` builds P once per
+summand and keeps, at each boundary, the multisets that survive there.
+
 The split itself is a rank factorization of the coefficient matrix of the
 functional in the product basis of disjoint Wick monomials, with complete
 pivoting so the construction is deterministic and stops at the exact rank.
@@ -22,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosFunctional, conditional_expectation, first_order, multiply, sum_functionals
+from .chaos import ChaosFunctional, conditional_expectation, first_order, multiply
 from .grid import Grid, Partition
 from .kernels import SymKernel
 from .paths import StepFunction
@@ -35,6 +41,7 @@ from .skorohod import (
     ChaosProcess,
     SkorohodProcess,
     StepProcess,
+    conditioned_product_process,
     step_approximation,
 )
 
@@ -72,37 +79,14 @@ class BFSummand:
             raise ValueError("backward factor has support before the window end")
 
     def forward_martingale(self, b: int) -> ChaosFunctional:
-        """E[G1 * window increment | increments up to boundary b].
-
-        From b = hi on this is the full-window factor, built once per summand.
-        """
-        if b >= self.hi:
-            return self._full_forward
+        """E[G1 * window increment | increments up to boundary b]: G1 times the increment over (lo, min(b, hi)]."""
         if b <= self.lo:
             return ChaosFunctional(self.grid, 0.0, {})
-        return self._forward_to(b)
-
-    @cached_property
-    def _full_forward(self) -> ChaosFunctional:
-        # a frozen dataclass without __slots__: the cache goes into the instance __dict__
-        return self._forward_to(self.hi)
-
-    def _forward_to(self, z: int) -> ChaosFunctional:
-        """G1 times the increment over (lo, z], for lo < z <= hi."""
-        return multiply(self.forward, first_order(StepFunction.indicator(self.grid, self.lo, z)))
+        return multiply(self.forward, first_order(StepFunction.indicator(self.grid, self.lo, min(b, self.hi))))
 
     def backward_martingale(self, b: int) -> ChaosFunctional:
-        """E[G2 | increments after boundary max(b, hi)].
-
-        Up to b = hi this is the factor conditioned past the window end, built once per summand.
-        """
-        if b <= self.hi:
-            return self._backward_past_window
-        return conditional_expectation(self.backward, 0, b)
-
-    @cached_property
-    def _backward_past_window(self) -> ChaosFunctional:
-        return conditional_expectation(self.backward, 0, self.hi)
+        """E[G2 | increments after boundary max(b, hi)]."""
+        return conditional_expectation(self.backward, 0, max(b, self.hi))
 
     def value_at(self, b: int) -> ChaosFunctional:
         """The summand M_t N_t at a boundary, as an exact product."""
@@ -119,11 +103,19 @@ class BFProcess:
     grid: Grid
     summands: tuple[BFSummand, ...]
 
-    def value_at(self, b: int) -> ChaosFunctional:
-        return sum_functionals(self.grid, (s.value_at(b) for s in self.summands))
-
     def as_skorohod(self) -> SkorohodProcess:
-        return SkorohodProcess(self.grid, [self.value_at(b) for b in range(self.grid.n_cells + 1)])
+        """The sum of the summands' values M_t N_t at every boundary.
+
+        Each summand's values are one product conditioned: with P = G1 *
+        (X_hi - X_lo) * G2, M_t N_t = E[P | increments outside (min(t, hi),
+        max(t, hi)]], so P is built once per summand.  Every snapshot is bit
+        for bit the sum of the summands' ``value_at`` in summand order: its
+        mean, each order's key order and values, and, when every factor
+        stores its orders ascending as ``split_two_sided``'s do, the order
+        of its orders.
+        """
+        pieces = [(s.lo, s.hi, multiply(s.forward_martingale(s.hi), s.backward)) for s in self.summands]
+        return conditioned_product_process(self.grid, pieces)
 
 
 def _basis_index(multisets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:

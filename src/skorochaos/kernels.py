@@ -37,6 +37,10 @@ one per order, into one dict per order, and gives bit for bit what a
 left fold of ``SymKernel.add`` gives, without copying the running sum at
 every step.  ``SymKernel.same_terms`` tells whether two kernels store the
 same values in the same key order, which is when they evaluate alike.
+``conditioned_sums`` sums products that each have one cell in a window,
+conditioned at every boundary: it reads once per multiset the boundaries
+at which the multiset survives, and at each boundary folds the survivors
+into a ``KernelSum``.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()``, ``cells()`` and
@@ -74,6 +78,7 @@ __all__ = [
     "MAX_CELLS",
     "SymKernel",
     "KernelSum",
+    "conditioned_sums",
     "sym_tensor_product",
     "disjoint_tensor_product",
     "contract",
@@ -295,12 +300,19 @@ class KernelSum:
         for n, f in kernels.items():
             if f.grid != self.grid or f.order != n:
                 raise ValueError("kernel differs from the sum in grid or order")
-            acc = self._sums.get(n)
-            if acc is None:
-                if f.data:
-                    self._sums[n] = dict(f.data)
-                continue
-            for mu, v in f.data.items():
+            self._add_entries(n, f.data)
+
+    def _add_entries(self, n: int, entries: Mapping[tuple[int, ...], float]) -> None:
+        """Add one order's nonzero values, multiset by multiset in the mapping's order."""
+        acc = self._sums.get(n)
+        if acc is None:
+            if entries:
+                self._sums[n] = dict(entries)
+        elif acc.keys().isdisjoint(entries):
+            # each multiset enters at the end with 0.0 + v, which is v
+            acc.update(entries)
+        else:
+            for mu, v in entries.items():
                 s = acc.get(mu, 0.0) + v
                 if s == 0.0:
                     del acc[mu]
@@ -313,6 +325,52 @@ class KernelSum:
         """The sum so far, by order; the sum starts again from no orders."""
         sums, self._sums = self._sums, {}
         return {n: SymKernel._built(self.grid, n, d) for n, d in sums.items()}
+
+
+def conditioned_sums(
+    grid: Grid, pieces: Sequence[tuple[int, int, Mapping[int, SymKernel]]]
+) -> list[dict[int, SymKernel]]:
+    """At each boundary b = 0..n_cells, the sum of the pieces with lo < b, each conditioned at b.
+
+    A piece (lo, hi, kernels) is the kernel stack of a product whose every
+    multiset has exactly one cell c in (lo, hi]; one that has none or two
+    raises ``ValueError``.  At b it is conditioned on the increments
+    outside (min(b, hi), max(b, hi)], which keeps a multiset when it has no
+    cell in (b, hi] (for b < hi) and none in (hi, b] (for b > hi), that is
+    when c <= b < e, e its first cell after hi (n_cells + 1 for none).
+    So (c, e) is read once per multiset, and at each b the multisets so
+    kept are added into a ``KernelSum``, piece by piece, each piece's
+    orders in their stored order and each order's multisets in key order.
+    The result is bit for bit the left fold of ``SymKernel.add`` over the
+    conditioned pieces, a conditioned piece keeping its orders' order and
+    dropping the orders it empties: a sum that reaches 0.0 leaves and
+    re-enters at the end, and so does an order that empties.
+    """
+    n_cells = grid.n_cells
+    live = []  # (lo, [(order, [(c, e, multiset, value), ...]), ...]) per piece
+    for lo, hi, kernels in pieces:
+        grid.check_interval(lo, hi)
+        orders = []
+        for n, f in kernels.items():
+            if f.grid != grid or f.order != n:
+                raise ValueError("kernel differs from the sum in grid or order")
+            entries = []
+            for mu, v in f.data.items():
+                i, j = bisect_right(mu, lo), bisect_right(mu, hi)
+                if j - i != 1:
+                    raise ValueError(f"multiset {mu} has {j - i} cells in the window ({lo}, {hi}], not one")
+                entries.append((mu[i], mu[j] if j < n else n_cells + 1, mu, v))
+            orders.append((n, entries))
+        live.append((lo, orders))
+    out: list[dict[int, SymKernel]] = [{}]
+    for b in range(1, n_cells + 1):
+        acc = KernelSum(grid)
+        for lo, orders in live:
+            if lo < b:
+                for n, entries in orders:
+                    acc._add_entries(n, {mu: v for c, e, mu, v in entries if c <= b < e})
+        out.append(acc.kernels())
+    return out
 
 
 def sym_tensor_product(f: SymKernel, g: SymKernel) -> SymKernel:

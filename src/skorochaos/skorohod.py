@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .kernels import (
     SymKernel,
     ValueTable,
     add_cell,
+    conditioned_sums,
     move_cell,
     region_kernels,
     restrict_below_count,
@@ -54,6 +55,7 @@ __all__ = [
     "max_martingale_defect",
     "ito_skorohod_integrand",
     "step_approximation",
+    "conditioned_product_process",
     "projected_synthesis_process",
     "EnergyReport",
     "max_increment_energy",
@@ -353,6 +355,24 @@ def step_approximation(v: ChaosProcess, partition: Partition) -> StepProcess:
     return StepProcess(grid, partition, tuple(values))
 
 
+def conditioned_product_process(grid: Grid, pieces: Sequence[tuple[int, int, ChaosFunctional]]) -> SkorohodProcess:
+    """Z_b = sum over the pieces (lo, hi, P) with lo < b of E[P | increments outside (min(b, hi), max(b, hi)]].
+
+    Every multiset of a P has exactly one cell in (lo, hi]; the kernels
+    are summed by ``kernels.conditioned_sums``.  Conditioning keeps the
+    mean, so the mean of Z_b is 0.0 plus the means of those pieces in turn.
+    """
+    sums = conditioned_sums(grid, [(lo, hi, P.kernels) for lo, hi, P in pieces])
+    snapshots = []
+    for b, kernels in enumerate(sums):
+        mean = 0.0
+        for lo, _, P in pieces:
+            if lo < b:
+                mean += P.mean
+        snapshots.append(ChaosFunctional(grid, mean, kernels))
+    return SkorohodProcess(grid, snapshots)
+
+
 def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     """The conditioned two-sided approximation built from a step process.
 
@@ -365,25 +385,27 @@ def projected_synthesis_process(step: StepProcess) -> SkorohodProcess:
     (t_{i+1}, t] as t moves past it.  This re-projection is what turns the
     plain integral of the step process into a sum of products of a forward
     martingale and a backward one; without it the approximation does not
-    converge in increment energy.  Products are expanded exactly; the
-    contraction terms vanish because coefficient and increment never share
-    a cell.
+    converge in increment energy.
+
+    Each term is one product, conditioned.  F_i stores no cell of its own
+    interval, so it is its own conditioning on the outside increments, and
+    with P_i = F_i * (X_{t_{i+1}} - X_{t_i}) the term at t is
+    E[P_i | increments outside (min(t, t_{i+1}), max(t, t_{i+1})]].  So P_i
+    is built once per interval, expanded exactly (the contraction terms
+    vanish because coefficient and increment never share a cell), and
+    ``conditioned_product_process`` keeps at each boundary the multisets
+    that survive there.  The values, each order's key order and the means
+    are those of the per-boundary products summed in interval order.  The
+    order of the orders in a snapshot can differ from that sum when a
+    coefficient stores its orders out of ascending order; the split check
+    reads only ``max_abs()`` of a difference, which does not depend on it.
     """
     grid = step.grid
-    intervals = list(step.partition.intervals())
-    # up to b = hi an interval's coefficient is conditioned on (lo, hi]: build it once
-    within = [conditional_expectation(F, lo, hi) for (lo, hi), F in zip(intervals, step.values)]
-    def summands(b: int) -> Iterator[ChaosFunctional]:
-        for (lo, hi), F, coef in zip(intervals, step.values, within):
-            if lo >= b:
-                continue
-            if b > hi:
-                coef = conditional_expectation(F, lo, b)
-            yield multiply(coef, first_order(StepFunction.indicator(grid, lo, min(hi, b))))
-
-    snapshots = [ChaosFunctional(grid, 0.0, {})]
-    snapshots += [sum_functionals(grid, summands(b)) for b in range(1, grid.n_cells + 1)]
-    return SkorohodProcess(grid, snapshots)
+    pieces = [
+        (lo, hi, multiply(F, first_order(StepFunction.indicator(grid, lo, hi))))
+        for (lo, hi), F in zip(step.partition.intervals(), step.values)
+    ]
+    return conditioned_product_process(grid, pieces)
 
 
 @dataclass(frozen=True)

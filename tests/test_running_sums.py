@@ -1,7 +1,9 @@
 """Sums and differences of kernels against the slow paths they replace, bit for bit.
 
 ``sum_functionals`` (and the ``KernelSum`` under it) must equal the left
-fold ``ChaosFunctional(grid, 0.0, {}).add(F1).add(F2)...``, ``sub`` must
+fold ``ChaosFunctional(grid, 0.0, {}).add(F1).add(F2)...``, and
+``conditioned_sums`` that fold over the pieces conditioned at each
+boundary by ``conditional_expectation``; ``sub`` must
 equal ``add(other.scaled(-1.0))`` and ``norm_sq`` the generator ``sum()``
 it replaced.  Values are compared with their sign, and kernels and their
 entries in stored order, since key order fixes the order of every later
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skorochaos.chaos import ChaosFunctional, sum_functionals
+from skorochaos.chaos import ChaosFunctional, conditional_expectation, sum_functionals
 from skorochaos.grid import Grid
-from skorochaos.kernels import KernelSum, SymKernel, orderings
+from skorochaos.kernels import KernelSum, SymKernel, conditioned_sums, orderings
 
 # few values, so sums often cancel to 0.0 and keys and orders leave and come back
 FEW = st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, 1e-300, -1e-300])
@@ -158,3 +160,67 @@ def test_norm_sq_adds_in_key_order_one_term_after_another():
     old = sum(v * v * orderings(mu) for mu, v in f.items()) * grid.delta
     assert f.norm_sq() == old
     assert old == 1e16 * grid.delta
+
+
+@st.composite
+def window_pieces(draw):
+    """Kernel stacks whose every multiset has one cell in its window (lo, hi] and any others outside it."""
+    # few cells and many pieces, so pieces share multisets whose sums cancel and come back
+    grid = Grid(draw(st.integers(2, 4)))
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(st.integers(0, grid.n_cells - 1))
+        hi = draw(st.integers(lo + 1, grid.n_cells))
+        outside = [c for c in grid.cells() if not lo < c <= hi]
+        kernels = {}
+        for n in draw(st.permutations([1, 2, 3] if outside else [1]))[: draw(st.integers(0, 3))]:
+            others = st.lists(st.sampled_from(outside or [0]), min_size=n - 1, max_size=n - 1)
+            multisets = st.tuples(st.integers(lo + 1, hi), others).map(lambda t: tuple(sorted([t[0], *t[1]])))
+            kernels[n] = SymKernel(grid, n, draw(st.dictionaries(multisets, FEW, max_size=5)))
+        pieces.append((lo, hi, kernels))
+    return grid, pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=window_pieces())
+def test_conditioned_sums_fold_the_conditioned_pieces(case):
+    grid, pieces = case
+    got = conditioned_sums(grid, pieces)
+    assert len(got) == grid.n_cells + 1
+    for b, kernels in enumerate(got):
+        terms = [
+            conditional_expectation(ChaosFunctional(grid, 0.0, ks), min(b, hi), max(b, hi))
+            for lo, hi, ks in pieces
+            if lo < b
+        ]
+        assert exact(ChaosFunctional(grid, 0.0, kernels)) == exact(left_fold(grid, terms))
+
+
+def test_conditioned_sums_drop_a_cancelled_key_and_an_emptied_order_until_they_come_back():
+    grid = Grid(4)
+    pieces = [
+        (0, 2, {2: kernel(grid, 2, [((1, 3), 1.0)]), 1: kernel(grid, 1, [((1,), 1.0), ((2,), 2.0)])}),
+        (0, 2, {1: kernel(grid, 1, [((1,), -1.0)]), 2: kernel(grid, 2, [((1, 3), -1.0)])}),
+        (0, 2, {2: kernel(grid, 2, [((2, 4), 3.0)]), 1: kernel(grid, 1, [((1,), 5.0)])}),
+    ]
+    got = conditioned_sums(grid, pieces)[2]
+    # order 2 emptied after the second piece, so it now follows order 1; (1,) follows (2,)
+    assert list(got) == [1, 2]
+    assert list(got[1].items()) == [((2,), 2.0), ((1,), 5.0)]
+    assert list(got[2].items()) == [((2, 4), 3.0)]
+
+
+def test_conditioned_sums_need_one_window_cell_per_multiset():
+    grid = Grid(6)
+    one = kernel(grid, 2, [((1, 3), 1.0), ((4, 5), 2.0)])
+    got = conditioned_sums(grid, [(2, 4, {2: one})])
+    # (1, 3) lives from its window cell 3 on, (4, 5) from 4 until 5, its first cell after the window
+    assert [list(ks[2].items()) if ks else [] for ks in got] == [
+        [], [], [], [((1, 3), 1.0)], [((1, 3), 1.0), ((4, 5), 2.0)], [((1, 3), 1.0)], [((1, 3), 1.0)]
+    ]
+    with pytest.raises(ValueError, match="0 cells in the window"):
+        conditioned_sums(grid, [(2, 4, {2: kernel(grid, 2, [((1, 5), 1.0)])})])
+    with pytest.raises(ValueError, match="2 cells in the window"):
+        conditioned_sums(grid, [(2, 4, {2: one}), (2, 4, {2: kernel(grid, 2, [((3, 4), 1.0)])})])
+    with pytest.raises(ValueError, match="grid or order"):
+        conditioned_sums(grid, [(2, 4, {3: one})])

@@ -632,5 +632,7 @@ def test_theorem1_builds_each_conditional_expectation_once(monkeypatch):
     for module in (bf, experiments, skorohod):
         monkeypatch.setattr(module, "conditional_expectation", counting)
     assert run_experiment(ExperimentConfig(experiment="theorem1", N=16, depth=4)).ok
-    assert len(held) > 100
+    # step_approximation conditions each of the 16 cells' values once per depth 0..4; the
+    # two-sided builders condition products kernel by kernel and call it no more
+    assert len(held) == 16 * 5
     assert {key: n for key, n in seen.items() if n > 1} == {}
