@@ -22,7 +22,6 @@ from .chaos import (
     ChaosFunctional,
     conditional_expectation,
     constant_functional,
-    eval_functional,
     eval_many,
     first_order,
     hermite_functional,
@@ -80,7 +79,6 @@ __all__ = [
     "ChaosFunctional",
     "conditional_expectation",
     "constant_functional",
-    "eval_functional",
     "eval_many",
     "first_order",
     "hermite_functional",

@@ -89,7 +89,11 @@ class BFSummand:
         return conditional_expectation(self.backward, 0, max(b, self.hi))
 
     def value_at(self, b: int) -> ChaosFunctional:
-        """The summand M_t N_t at a boundary, as an exact product."""
+        """The summand M_t N_t at a boundary, as an exact product.
+
+        This is the paper's form of the summand.  ``as_skorohod`` builds the
+        sum another way, and the tests hold it to these products.
+        """
         fwd = self.forward_martingale(b)
         if not fwd.kernels and fwd.mean == 0.0:
             return fwd

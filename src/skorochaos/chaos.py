@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, is_index
 from .kernels import (
     KernelSum,
     SymKernel,
@@ -42,7 +42,6 @@ __all__ = [
     "constant_functional",
     "first_order",
     "hermite_functional",
-    "eval_functional",
     "eval_many",
     "malliavin_derivative",
     "conditional_expectation",
@@ -57,6 +56,8 @@ def hermite_values(m_max: int, x: np.ndarray) -> np.ndarray:
 
     Uses the three-term recurrence (m + 1) He_{m+1} = x He_m - He_{m-1}.
     """
+    if not (is_index(m_max) and m_max >= 0):
+        raise ValueError(f"Hermite order {m_max!r} is not a nonnegative integer")
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((m_max + 1,) + x.shape, dtype=np.float64)
     out[0] = 1.0
@@ -104,14 +105,9 @@ class ChaosFunctional:
             if n in other.kernels
         )
 
-    def product_expectation(self, other: "ChaosFunctional") -> float:
-        return self.mean * other.mean + self.covariance(other)
-
     def variance(self) -> float:
+        """Var F = Cov(F, F); with ``covariance``, the isometry's moments, which the tests' oracles read."""
         return self.covariance(self)
-
-    def second_moment(self) -> float:
-        return self.mean**2 + self.variance()
 
     def scaled(self, c: float) -> "ChaosFunctional":
         return ChaosFunctional(self.grid, self.mean * c, {n: f.scaled(c) for n, f in self.kernels.items()})
@@ -358,10 +354,6 @@ def _evaluate(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     return out
 
 
-def eval_functional(F: ChaosFunctional, batch: PathBatch) -> np.ndarray:
-    return eval_many([F], batch)[0]
-
-
 # ---------------------------------------------------------------------------
 # calculus
 
@@ -369,7 +361,8 @@ def malliavin_derivative(F: ChaosFunctional, cell: int) -> ChaosFunctional:
     """Derivative in the increment of one cell: D_c I_n(f) = n I_{n-1}(f(., c)).
 
     The result is again a chaos functional; pathwise it equals the exact
-    partial derivative of eval_functional with respect to that increment.
+    partial derivative of the evaluated functional (``eval_many``) with
+    respect to that increment.
     """
     cell = F.grid.check_cell(cell)
     mean = 0.0

@@ -72,7 +72,6 @@ class Field(NamedTuple):
     help: str
     ok: Callable[[Any], bool] | None = None
     rule: str = ""  # what ``ok`` demands, for the error message
-    echo: bool = True  # echoed in the CSV header
 
 
 FIELDS: dict[str, Field] = {
@@ -83,10 +82,6 @@ FIELDS: dict[str, Field] = {
         int, "base seed for counter-based path sampling", lambda v: 0 <= v < 2**64, "out of range 0..2**64-1"
     ),
     "depth": Field(int, "finest dyadic partition depth", lambda v: v >= 0, "must be nonnegative"),
-    # the worker count never changes output bytes, so the CSV does not echo it
-    "workers": Field(
-        int, "kept for the benchmark harness; changes nothing", lambda v: v >= 1, "must be at least 1", echo=False
-    ),
     "M": Field(int, "dimension of the sampled cube", lambda v: 1 <= v <= 6, "out of range 1..6"),
     "samples": Field(int, "number of generic sample points", lambda v: v >= 1, "must be at least 1"),
     "n": Field(int, "highest chaos order exercised", lambda v: 1 <= v <= 3, "out of range 1..3"),
@@ -105,6 +100,7 @@ class ExperimentConfig:
     seed: int = 1
     depth: int = 4
     out: str | None = None
+    # no experiment takes it: only the benchmark harness (perfbench/) sets it and records it
     workers: int = 1
     M: int = 3
     t: float = 0.25
@@ -300,7 +296,7 @@ def _run_theorem1(cfg: ExperimentConfig) -> ExperimentResult:
         split_gap = max(F.max_abs() for F in Z.sub(direct).functionals)
         if split_gap > _EXACT:
             res.failures.append(f"theorem1: depth {d} split differs from projection by {split_gap:.3e}")
-        vhat = max_increment_energy(Y.sub(Z)).value
+        vhat = max_increment_energy(Y.sub(Z))
         bound = v.sub(step.as_process()).sobolev_norm_sq()
         res.rows.append((d, vhat, bound))
         vhats.append(vhat)
@@ -331,7 +327,7 @@ def _run_ducnualart(cfg: ExperimentConfig) -> ExperimentResult:
     kernels = extract_region_kernels(u, Y)
     resid = resynthesis_residual(Y, kernels)
     lhs = region_energy_bound(kernels)
-    vhat = max_increment_energy(Y).value
+    vhat = max_increment_energy(Y)
     for l, q in sorted(kernels):
         res.rows.append((f"kernel_norm_sq_l{l}_q{q}", kernels[l, q].norm_sq()))
     res.rows.append(("resynthesis_max_residual", resid))
@@ -455,7 +451,7 @@ class ExperimentSpec(NamedTuple):
 
     @property
     def echo(self) -> tuple[str, ...]:
-        return ("experiment",) + tuple(name for name in self.fields if FIELDS[name].echo)
+        return ("experiment", *self.fields)
 
 
 SPECS: dict[str, ExperimentSpec] = {
@@ -464,7 +460,7 @@ SPECS: dict[str, ExperimentSpec] = {
         ("M", "t", "n_points", "covered", "disjoint"), ("M", "t", "samples", "seed")),
     "isometry": ExperimentSpec(
         _run_isometry, "Monte Carlo product moments vs kernel inner products",
-        ("n", "m", "exact", "estimate", "std_error", "z"), ("N", "L", "paths", "seed", "workers"),
+        ("n", "m", "exact", "estimate", "std_error", "z"), ("N", "L", "paths", "seed"),
         (_within_cell_cap,)),
     "martingale": ExperimentSpec(
         _run_martingale, "conditioned increments of the integral process, exact",
@@ -479,11 +475,11 @@ SPECS: dict[str, ExperimentSpec] = {
     # no cell cap: above it reversal skips its kernel checks and keeps the pathwise ones
     "reversal": ExperimentSpec(
         _run_reversal, "reversed-time identities and decomposition residuals",
-        ("N", "t", "statistic", "value", "std_error"), ("N", "n", "t", "paths", "seed", "workers"),
+        ("N", "t", "statistic", "value", "std_error"), ("N", "n", "t", "paths", "seed"),
         (_quarters_are_boundaries, _t_is_boundary)),
     "stopping": ExperimentSpec(
         _run_stopping, "optional sampling and stopped integrals",
-        ("rule", "test_variable", "n_paths", "estimate", "std_error", "z"), ("N", "paths", "seed", "workers"),
+        ("rule", "test_variable", "n_paths", "estimate", "std_error", "z"), ("N", "paths", "seed"),
         (_within_cell_cap, _quarters_are_boundaries)),
 }
 

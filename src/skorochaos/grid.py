@@ -65,8 +65,11 @@ class Grid:
     n_cells: int
 
     def __post_init__(self) -> None:
+        if not is_index(self.n_cells):
+            raise ValueError(f"grid needs an integer cell count, got {self.n_cells!r}")
         if self.n_cells < 1:
             raise ValueError(f"grid needs at least one cell, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
 
     @property
     def delta(self) -> float:

@@ -93,7 +93,6 @@ __all__ = [
     "value_table",
     "tensor_power",
     "from_step",
-    "constant_kernel",
 ]
 
 MAX_ORDER = 5
@@ -473,6 +472,7 @@ def project(f: SymKernel, a: int, b: int) -> SymKernel:
     )
 
 
+# called only by skorohod.resynthesize, which the benchmark tracer wraps by name
 def restrict_below_count(f: SymKernel, q: int, b: int) -> SymKernel:
     """Keep multisets with exactly q cells at or before the boundary index b.
 
@@ -749,12 +749,4 @@ def tensor_power(h: StepFunction, order: int) -> SymKernel:
 def from_step(h: StepFunction) -> SymKernel:
     _check_shape(h.grid, 1)
     return SymKernel._built(h.grid, 1, {(k,): v for k, v in enumerate(h.values.tolist(), 1)})
-
-
-def constant_kernel(grid: Grid, order: int, value: float) -> SymKernel:
-    _check_shape(grid, order)
-    _dense_guard(grid, order)
-    cells = list(grid.cells())
-    value = float(value)
-    return SymKernel._built(grid, order, {mu: value for mu in itertools.combinations_with_replacement(cells, order)})
 

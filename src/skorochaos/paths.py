@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .grid import Grid
+from .grid import Grid, is_index
 
 __all__ = [
     "StepFunction",
@@ -181,10 +181,11 @@ def _philox_words(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
 
 def sample_paths(grid: Grid, count: int, seed: int) -> PathBatch:
     """Draw ``count`` paths; path i is the same for any ``count`` above i."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not 0 <= seed <= _U64:
-        raise ValueError(f"seed={seed!r} out of range 0..2**64-1")
+    # a float or bool would be truncated by int() in _philox_words and silently pick another seed's paths
+    if not (is_index(count) and count >= 0):
+        raise ValueError(f"count={count!r} is not a nonnegative integer")
+    if not (is_index(seed) and 0 <= seed <= _U64):
+        raise ValueError(f"seed={seed!r} is not an integer in 0..2**64-1")
     n = grid.n_cells
     scale = np.sqrt(grid.delta)
     increments = np.empty((count, n))

@@ -129,8 +129,10 @@ def quadratic_covariation(grid: Grid, U: np.ndarray, V: np.ndarray) -> np.ndarra
     U and V hold one value per boundary; the result, shape (count,
     n_cells + 1), holds the bracket up to each boundary.
     """
-    if U.shape != V.shape or U.shape[-1] != grid.n_cells + 1:
-        raise ValueError("need boundary-sampled arrays of matching shape")
+    if U.ndim != 2 or U.shape != V.shape or U.shape[1] != grid.n_cells + 1:
+        raise ValueError(
+            f"need (count, {grid.n_cells + 1}) boundary-sampled arrays of matching shape, got {U.shape} and {V.shape}"
+        )
     base = U[:, :1] * V[:, :1]
     return np.concatenate(
         [base, base + np.cumsum(np.diff(U, axis=1) * np.diff(V, axis=1), axis=1)], axis=1

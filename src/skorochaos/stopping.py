@@ -21,6 +21,7 @@ S-measurable test variables and stopped increments are read off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,7 +63,10 @@ class GridStoppingTime:
     @classmethod
     def level_hitting(cls, grid: Grid, level: float) -> "GridStoppingTime":
         """First boundary k >= 1 with X_{k delta} >= level, else time 1."""
-        return cls(grid, "level-hitting", (float(level),))
+        level = float(level)
+        if math.isnan(level):
+            raise ValueError("a NaN level is never reached, so every path would stop at time 1")
+        return cls(grid, "level-hitting", (level,))
 
     @classmethod
     def first_exit(cls, grid: Grid, lo: float, hi: float) -> "GridStoppingTime":
@@ -76,10 +80,6 @@ class GridStoppingTime:
         params = (self.params[0] * self.grid.delta,) if self.kind == "deterministic" else self.params
         inner = ",".join(f"{p:g}" for p in params)
         return f"{self.kind}({inner})"
-
-    def eval(self, batch: PathBatch) -> np.ndarray:
-        """Boundary index per path, shape (count,), dtype int."""
-        return self.eval_walk(batch.boundary_values())
 
     def eval_walk(self, bv: np.ndarray) -> np.ndarray:
         """Boundary index per path from the boundary values ``bv`` of its batch.

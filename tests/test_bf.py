@@ -21,7 +21,7 @@ from skorochaos import (
     brownian_path_process,
     brownian_terminal_process,
     conditional_expectation,
-    eval_functional,
+    eval_many,
     first_order,
     from_step,
     ito_skorohod_integrand,
@@ -153,10 +153,9 @@ def test_summand_value_is_pathwise_product(grid8, batch8):
     _, bf = two_sided_approximation(ito_skorohod_integrand(u), Partition.dyadic(grid8, 1))
     for s in bf.summands:
         for b in (0, 3, 4, 6, 8):
-            got = eval_functional(s.value_at(b), batch8)
-            want = eval_functional(s.forward_martingale(b), batch8) * eval_functional(
-                s.backward_martingale(b), batch8
-            )
+            got = eval_many([s.value_at(b)], batch8)[0]
+            fwd, bwd = eval_many([s.forward_martingale(b), s.backward_martingale(b)], batch8)
+            want = fwd * bwd
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -203,7 +202,7 @@ def test_energy_halves_with_depth(grid16):
     v = ito_skorohod_integrand(u)
     for d in range(4):
         _, bf = two_sided_approximation(v, Partition.dyadic(grid16, d))
-        vhat = max_increment_energy(Y.sub(bf.as_skorohod())).value
+        vhat = max_increment_energy(Y.sub(bf.as_skorohod()))
         assert vhat == pytest.approx(4.5 * 2.0**-d, rel=1e-12)
 
 

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import product_expectation
 from skorochaos.chaos import (
     ChaosFunctional,
     conditional_expectation,
     constant_functional,
-    eval_functional,
     eval_many,
     first_order,
     hermite_functional,
@@ -39,6 +39,10 @@ def test_hermite_recurrence_values():
     np.testing.assert_allclose(h[1], x)
     np.testing.assert_allclose(h[2], (x**2 - 1) / 2)
     np.testing.assert_allclose(h[3], (x**3 - 3 * x) / 6)
+    assert hermite_values(0, x).shape == (1, 4)
+    for bad in (-1, 1.0, True):
+        with pytest.raises(ValueError, match="Hermite order"):
+            hermite_values(bad, x)
 
 
 def test_single_kernel_matches_hermite_closed_form(grid8, batch8):
@@ -47,7 +51,7 @@ def test_single_kernel_matches_hermite_closed_form(grid8, batch8):
     xs = isonormal_eval(batch8, h) / norm
     for n in (1, 2, 3):
         F = ChaosFunctional(grid8, 0.0, {n: tensor_power(h, n)})
-        got = eval_functional(F, batch8)
+        got = eval_many([F], batch8)[0]
         want = math.factorial(n) * norm**n * hermite_values(n, xs)[n]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -55,7 +59,7 @@ def test_single_kernel_matches_hermite_closed_form(grid8, batch8):
 def test_hermite_functional_unit_norm(grid8, batch8):
     h = StepFunction.constant(grid8, 1.0)
     F = hermite_functional(h, 2)
-    got = eval_functional(F, batch8)
+    got = eval_many([F], batch8)[0]
     x = isonormal_eval(batch8, h)
     np.testing.assert_allclose(got, x**2 - 1.0, atol=1e-12)
     assert F.variance() == pytest.approx(2.0)
@@ -67,7 +71,7 @@ def test_isometry_monte_carlo(grid8):
     g = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
     G = ChaosFunctional(grid8, 0.0, {2: tensor_power(g, 2)})
-    prod = eval_functional(F, batch) * eval_functional(G, batch)
+    prod = eval_many([F], batch)[0] * eval_many([G], batch)[0]
     exact = F.covariance(G)
     assert exact == pytest.approx(2 * h.inner(g) ** 2, rel=1e-12)
     se = prod.std(ddof=1) / np.sqrt(batch.count)
@@ -78,7 +82,7 @@ def test_orthogonality_across_orders_is_exact():
     f = first_order(StepFunction.constant(GRID, 1.0))
     g = ChaosFunctional(GRID, 0.0, {2: tensor_power(StepFunction.constant(GRID, 1.0), 2)})
     assert f.covariance(g) == 0.0
-    assert f.product_expectation(g) == 0.0
+    assert product_expectation(f, g) == 0.0
 
 
 def test_eval_many_matches_single(grid8, batch8):
@@ -89,7 +93,7 @@ def test_eval_many_matches_single(grid8, batch8):
     ]
     stacked = eval_many(fs, batch8)
     for i, F in enumerate(fs):
-        np.testing.assert_array_equal(stacked[i], eval_functional(F, batch8))
+        np.testing.assert_array_equal(stacked[i], eval_many([F], batch8)[0])
 
 
 def test_product_formula_matches_pathwise(grid8, batch8):
@@ -97,8 +101,8 @@ def test_product_formula_matches_pathwise(grid8, batch8):
     h2 = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.5, {1: from_step(h1), 2: tensor_power(h2, 2)})
     G = ChaosFunctional(grid8, -1.0, {1: from_step(h2), 2: tensor_power(h1, 2)})
-    got = eval_functional(multiply(F, G), batch8)
-    want = eval_functional(F, batch8) * eval_functional(G, batch8)
+    got = eval_many([multiply(F, G)], batch8)[0]
+    want = eval_many([F], batch8)[0] * eval_many([G], batch8)[0]
     np.testing.assert_allclose(got, want, atol=1e-11)
 
 
@@ -107,7 +111,7 @@ def test_product_expectation_consistency(grid8):
     h2 = StepFunction.constant(grid8, 1.0)
     F = ChaosFunctional(grid8, 0.5, {1: from_step(h1)})
     G = ChaosFunctional(grid8, -1.0, {2: tensor_power(h2, 2)})
-    assert multiply(F, G).mean == pytest.approx(F.product_expectation(G), abs=1e-14)
+    assert multiply(F, G).mean == pytest.approx(product_expectation(F, G), abs=1e-14)
 
 
 def test_product_order_cap_enforced(grid8):
@@ -128,13 +132,13 @@ def test_derivative_is_increment_gradient(grid8, batch8):
     eps = 1e-6
     for cell in (1, 5, 8):
         D = malliavin_derivative(F, cell)
-        got = eval_functional(D, batch8)
+        got = eval_many([D], batch8)[0]
         up, down = batch8.increments.copy(), batch8.increments.copy()
         up[:, cell - 1] += eps
         down[:, cell - 1] -= eps
         fd = (
-            eval_functional(F, PathBatch(grid8, up))
-            - eval_functional(F, PathBatch(grid8, down))
+            eval_many([F], PathBatch(grid8, up))[0]
+            - eval_many([F], PathBatch(grid8, down))[0]
         ) / (2 * eps)
         np.testing.assert_allclose(got, fd, atol=1e-7)
 
@@ -163,7 +167,7 @@ def test_conditional_expectation_is_projection(grid8, batch8):
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
     G = first_order(StepFunction.indicator(grid8, 0, 4))
     proj = conditional_expectation(F, 4, 8)
-    assert proj.product_expectation(G) == pytest.approx(F.product_expectation(G), abs=1e-14)
+    assert product_expectation(proj, G) == pytest.approx(product_expectation(F, G), abs=1e-14)
 
 
 def test_duality_of_derivative_and_integral(grid8):
@@ -175,8 +179,8 @@ def test_duality_of_derivative_and_integral(grid8):
     u = brownian_terminal_process(grid8)
     lhs = 0.0
     for cell in grid8.cells():
-        lhs += malliavin_derivative(F, cell).product_expectation(u.at_cell(cell)) * grid8.delta
-    rhs = F.product_expectation(skorohod_process(u).at_boundary(8))
+        lhs += product_expectation(malliavin_derivative(F, cell), u.at_cell(cell)) * grid8.delta
+    rhs = product_expectation(F, skorohod_process(u).at_boundary(8))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 

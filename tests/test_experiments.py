@@ -99,7 +99,6 @@ def test_format_value_round_trips_floats():
         dict(experiment="geometry", M=7),
         dict(experiment="reversal", n=4),
         dict(experiment="geometry", samples=0),
-        dict(experiment="stopping", workers=0),
         dict(experiment="isometry", seed=-1),
         dict(experiment="geometry", seed=2**64),
         dict(N=8.0),
@@ -162,6 +161,15 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert main(["martingale", "--config", str(p)]) == 2
     p.write_text("paths=10\n")  # a field of other experiments, not of martingale
     assert main(["martingale", "--config", str(p)]) == 2
+    p.write_text("workers=2\n")  # a config field that no experiment takes
+    assert main(["stopping", "--config", str(p)]) == 2
+
+
+def test_cli_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["stopping", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_invalid_value_exits_2(capsys):
@@ -375,11 +383,3 @@ def test_geometry_reports_a_disagreement_with_the_section_union(monkeypatch, cap
     )
     assert captured.out.startswith("# experiment=geometry\n")
     assert captured.out.endswith("\nM,t,n_points,covered,disjoint\n2,0.25,20,true,true\n")
-
-
-@pytest.mark.parametrize("name", ["isometry", "reversal", "stopping"])
-def test_worker_count_never_changes_output(name):
-    kw = dict(TINY[name])
-    one = ExperimentConfig(experiment=name, workers=1, **kw)
-    four = ExperimentConfig(experiment=name, workers=4, **kw)
-    assert run_experiment(one).csv_text() == run_experiment(four).csv_text()

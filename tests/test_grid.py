@@ -29,6 +29,18 @@ def test_boundary_round_trip():
             assert grid.boundary_index(1.0 - t) == n - b
 
 
+@pytest.mark.parametrize("n_cells", [8.0, 2.5, True, "8"])
+def test_non_integer_cell_count_rejected(n_cells):
+    with pytest.raises(ValueError, match="integer cell count"):
+        Grid(n_cells)
+
+
+def test_cell_count_stored_as_python_int():
+    grid = Grid(np.int64(8))
+    assert type(grid.n_cells) is int
+    assert grid == Grid(8)
+
+
 def test_off_grid_time_rejected(grid8):
     with pytest.raises(ValueError):
         grid8.boundary_index(0.3)

@@ -27,7 +27,6 @@ from skorochaos.grid import Grid
 from skorochaos.kernels import (
     SymKernel,
     add_cell,
-    constant_kernel,
     contract,
     from_step,
     move_cell,
@@ -303,9 +302,6 @@ def test_every_map_output_is_well_formed(inputs, c, c_int, data):
         (SymKernel.zero(grid, p), p),
         (tensor_power(step, p), p),
         (from_step(step), 1),
-        (constant_kernel(grid, p, c), p),
-        (constant_kernel(grid, p, c_int), p),
-        (constant_kernel(grid, p, np.float64(c)), p),
     ]
     outputs += [(restrict_below_count(f, k, hi), p) for k in range(p + 1)]
     outputs += [(contract(f, g, r), p + q - 2 * r) for r in range(1, min(p, q) + 1) if p + q > 2 * r]

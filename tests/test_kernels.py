@@ -18,7 +18,6 @@ from skorochaos.grid import Grid
 from skorochaos.kernels import (
     MAX_ORDER,
     SymKernel,
-    constant_kernel,
     contract,
     from_step,
     orderings,
@@ -169,7 +168,7 @@ def test_project_keeps_inside_multisets():
 
 
 def test_restrict_below_count():
-    f = constant_kernel(GRID4, 2, 1.0)
+    f = tensor_power(StepFunction.constant(GRID4, 1.0), 2)
     r = restrict_below_count(f, 1, 2)   # exactly one cell at or before cell 2
     assert all(sum(1 for c in mu if c <= 2) == 1 for mu in r.data)
     assert (1, 3) in r.data and (1, 2) not in r.data

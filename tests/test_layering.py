@@ -12,7 +12,9 @@ name a module lists in ``__all__`` must exist in it.  Times are boundary
 indices below the experiment layer: a float time becomes an index only
 where a config value holds it.  The benchmark tracer in
 ``perfbench/tracing.py`` wraps package functions by name, so every name
-it wraps must exist.
+it wraps must exist.  Every function, class and method the package
+defines is referred to somewhere in the package, unless the tracer wraps
+it or ``UNREFERENCED_OK`` gives the reason it stays.
 """
 
 import ast
@@ -96,12 +98,17 @@ def test_every_exported_name_exists():
     assert missing == [], f"__all__ names that do not exist: {missing}"
 
 
-def test_the_tracer_wraps_names_that_exist():
-    from skorochaos import chaos, kernels  # loads every package module the tracer wraps
-
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_the_tracer_wraps_names_that_exist():
+    from skorochaos import chaos, kernels  # loads every package module the tracer wraps
+
+    tracing = load_tracing()
     original = chaos.eval_many
     tracer = tracing.Tracer()
     try:
@@ -112,3 +119,45 @@ def test_the_tracer_wraps_names_that_exist():
     assert chaos.eval_many is original
     # the entry count of a SymKernel span reads the fourth positional argument
     assert list(inspect.signature(kernels.SymKernel.__init__).parameters)[3] == "values"
+
+
+# Definitions that no package module refers to, kept on purpose.
+UNREFERENCED_OK = {
+    "BFSummand.value_at": "the paper's forward x backward product M_t N_t, which the tests check the summands against",
+    "ChaosFunctional.variance": "the isometry's second moment beside covariance, read by the tests' moment oracles",
+}
+
+
+def definitions(path):
+    """(line, qualified name) of every function, class and method, dunder methods left out."""
+    out = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    out.append((node.lineno, prefix + node.name))
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body, "")
+    return out
+
+
+def references(path):
+    """Every name the module reads as a bare name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_definition_is_referenced():
+    modules = sorted(PACKAGE.glob("*.py"))
+    referenced = set().union(*(references(p) for p in modules))
+    traced = {(mod, fn) for mod, fn, _ in load_tracing().TRACED.values()}
+    unreferenced = [
+        f"{p.name}:{line} {name}"
+        for p in modules
+        for line, name in definitions(p)
+        if name.rsplit(".", 1)[-1] not in referenced and (p.stem, name) not in traced and name not in UNREFERENCED_OK
+    ]
+    assert unreferenced == [], f"definitions no package module refers to: {unreferenced}"

@@ -64,10 +64,22 @@ def test_sampler_zero_paths(grid8):
     assert sample_paths(grid8, 0, seed=1).increments.shape == (0, 8)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+# int() would truncate 1.5, 0.9, 1.0 and True to seed 0 or 1 and return that seed's paths
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 0.9, 1.0, True])
 def test_out_of_range_seed_rejected(grid8, seed):
     with pytest.raises(ValueError, match=re.escape(str(seed))):
         sample_paths(grid8, 4, seed)
+
+
+@pytest.mark.parametrize("count", [2.0, True, -1])
+def test_bad_count_rejected(grid8, count):
+    with pytest.raises(ValueError, match="count"):
+        sample_paths(grid8, count, seed=1)
+
+
+def test_numpy_integer_seed_and_count_accepted(grid8):
+    got = sample_paths(grid8, np.int64(4), np.uint64(7))
+    assert got.increments.tobytes() == sample_paths(grid8, 4, 7).increments.tobytes()
 
 
 def test_increment_moments(grid16):

@@ -10,7 +10,7 @@ from skorochaos import (
     backward_ito_eval,
     clark_ocone_integrand,
     conditional_expectation,
-    eval_functional,
+    eval_many,
     first_order,
     from_step,
     hermite_functional,
@@ -43,8 +43,8 @@ def mixed_functional(grid):
 def test_reverse_functional_is_change_of_variables(grid8, batch8):
     F = mixed_functional(grid8)
     assert reverse_functional(reverse_functional(F)).sub(F).max_abs() == 0.0
-    got = eval_functional(reverse_functional(F), batch8)
-    want = eval_functional(F, reverse_batch(batch8))
+    got = eval_many([reverse_functional(F)], batch8)[0]
+    want = eval_many([F], reverse_batch(batch8))[0]
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_difference_representation_closed_form(grid8, batch8):
     for b in range(grid8.n_cells + 1):
         t = b * grid8.delta
         want = 2.0 * x1 * walk[:, b] - walk[:, b] ** 2 - t
-        got = eval_functional(tail_difference(F, b), batch8)
+        got = eval_many([tail_difference(F, b)], batch8)[0]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_clark_ocone_integrand_closed_form(grid8, batch8):
         cell = phi.at_cell(j)
         for f in cell.kernels.values():
             assert all(mu[-1] < j for mu in f.data)
-        got = eval_functional(cell, rev)
+        got = eval_many([cell], rev)[0]
         np.testing.assert_allclose(got, 2.0 * rwalk[:, j - 1], atol=1e-12)
 
 
@@ -92,7 +92,7 @@ def test_backward_ito_gap_is_reversed_quadratic_fluctuation(grid8, batch8):
     phi = clark_ocone_integrand(F)
     rev = reverse_batch(batch8)
     for b in (4, 8):
-        y = eval_functional(tail_difference(F, b), batch8)
+        y = eval_many([tail_difference(F, b)], batch8)[0]
         ito = backward_ito_eval(phi, rev, b)
         window = rev.increments[:, grid8.n_cells - b :]
         want = np.sum(window**2 - grid8.delta, axis=1)
@@ -115,7 +115,7 @@ def test_hermite_projection_identity(grid8, batch8):
             # the tail h 1_(t_b,1] vanishes only at b = n_cells
             assert (closed is None) == (b == grid8.n_cells)
             if closed is not None:
-                kernel_side = eval_functional(tail_difference(hermite_functional(h, n), b), batch8)
+                kernel_side = eval_many([tail_difference(hermite_functional(h, n), b)], batch8)[0]
                 np.testing.assert_allclose(kernel_side, closed, atol=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_hermite_projection_degenerate_tail(grid8, batch8):
     assert hermite_projection(2, h, 6, batch8) is None
     closed = hermite_projection(2, h, 3, batch8)
     F = ChaosFunctional(grid8, 0.0, {2: tensor_power(h, 2)})
-    np.testing.assert_allclose(closed, eval_functional(tail_difference(F, 3), batch8), atol=1e-10)
+    np.testing.assert_allclose(closed, eval_many([tail_difference(F, 3)], batch8)[0], atol=1e-10)
 
 
 def test_reversal_index_apis_reject_float_times(grid8, batch8):
@@ -160,6 +160,9 @@ def test_quadratic_covariation_deterministic(grid16):
         np.testing.assert_allclose(curve[:, b], want)
     with pytest.raises(ValueError):
         quadratic_covariation(grid16, U[:, :-1], U[:, :-1])
+    # one path as a 1-D array of n + 1 boundary values: the caller must keep the path axis
+    with pytest.raises(ValueError, match="boundary-sampled"):
+        quadratic_covariation(grid16, U[0], U[0])
 
 
 def exact_quadratic_y(batch, b):

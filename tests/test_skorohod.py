@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import product_expectation, second_moment
 from skorochaos.chaos import (
     _EVAL_BLOCK,
     ChaosFunctional,
     conditional_expectation,
     constant_functional,
-    eval_functional,
+    eval_many,
     first_order,
     malliavin_derivative,
 )
@@ -20,8 +21,8 @@ from skorochaos.grid import Grid, Partition
 from skorochaos.kernels import SymKernel, tensor_power, value_table
 from skorochaos.paths import PathBatch, StepFunction, sample_paths
 from skorochaos.skorohod import (
+    _increment_second_moment,
     ChaosProcess,
-    EnergyReport,
     SkorohodProcess,
     StepProcess,
     brownian_path_process,
@@ -58,7 +59,7 @@ def test_terminal_integrand_closed_form(grid8, batch8):
     bv = batch8.boundary_values()
     for b in (0, 2, 5, 8):
         t = b * grid8.delta
-        got = eval_functional(Y.at_boundary(b), batch8)
+        got = eval_many([Y.at_boundary(b)], batch8)[0]
         np.testing.assert_allclose(got, bv[:, -1] * bv[:, b] - t, atol=1e-12)
 
 
@@ -68,7 +69,7 @@ def test_increment_energy_closed_form(grid8):
     for s, t in [(0.0, 0.25), (0.25, 0.75), (0.5, 1.0), (0.0, 1.0)]:
         want = (t - s) + (t - s) ** 2
         diff = Y.at_boundary(grid8.boundary_index(t)).sub(Y.at_boundary(grid8.boundary_index(s)))
-        assert diff.second_moment() == pytest.approx(want, rel=1e-12)
+        assert second_moment(diff) == pytest.approx(want, rel=1e-12)
 
 
 def test_martingale_defect_zero_for_family(grid16):
@@ -190,8 +191,8 @@ def test_index_apis_reject_float_times(grid8):
 
 def duality_gap(F, u, b):
     """|E[F * integral(u, b)] - E<DF, u 1_(0,t_b]>| at boundary index b, both exact."""
-    lhs = F.product_expectation(skorohod_process(u).at_boundary(b))
-    rhs = sum(malliavin_derivative(F, c).product_expectation(u.at_cell(c)) for c in range(1, b + 1)) * u.grid.delta
+    lhs = product_expectation(F, skorohod_process(u).at_boundary(b))
+    rhs = sum(product_expectation(malliavin_derivative(F, c), u.at_cell(c)) for c in range(1, b + 1)) * u.grid.delta
     return abs(lhs - rhs)
 
 
@@ -267,19 +268,18 @@ def test_projected_synthesis_reprojects_past_interval_ends(grid8, batch8):
 
 def test_energy_report_dyadic_table(grid16):
     Y = skorohod_process(brownian_terminal_process(grid16))
-    rep = max_increment_energy(Y)
-    assert isinstance(rep, EnergyReport)
-    assert rep.value == pytest.approx(2.0, rel=1e-12)
-    table = dict(rep.by_depth)
+    energy = max_increment_energy(Y)
+    assert isinstance(energy, float)
+    assert energy == pytest.approx(2.0, rel=1e-12)
+    table = dict(dyadic_energies(Y, _increment_second_moment))
     assert set(table) == set(range(grid16.depth + 1))
-    assert max(table.values()) == pytest.approx(rep.value)
+    assert max(table.values()) == energy
 
 
 def test_variation_oracle_for_terminal_integrand(grid16):
     # dyadic depth d: sum over 2^d increments of (h + h^2), h = 2^-d
     Y = skorohod_process(brownian_terminal_process(grid16))
-    rep = max_increment_energy(Y)
-    for d, energy in rep.by_depth:
+    for d, energy in dyadic_energies(Y, _increment_second_moment):
         h = 2.0**-d
         assert energy == pytest.approx(1.0 + h, rel=1e-12)
 
@@ -301,7 +301,7 @@ def test_extraction_known_values_for_terminal_integrand(grid8):
     assert all(v == pytest.approx(0.5) for v in f21.data.values())
     assert all(v == pytest.approx(1.0) for v in f22.data.values())
     assert region_energy_bound(kernels) == pytest.approx(1.0, rel=1e-12)
-    assert max_increment_energy(skorohod_process(u)).value == pytest.approx(2.0)
+    assert max_increment_energy(skorohod_process(u)) == pytest.approx(2.0)
 
 
 def test_read_off_against_another_process_leaves_a_residual(grid8):
@@ -426,12 +426,16 @@ def test_max_gap_spread_checks_its_snapshots(grid8):
 # or per boundary.
 
 
-def oracle_increment_energy(Y):
-    rows = []
-    for part in Partition.dyadic_family(Y.grid):
-        energy = sum(Y.at_boundary(hi).sub(Y.at_boundary(lo)).second_moment() for lo, hi in part.intervals())
-        rows.append((part.n_intervals.bit_length() - 1, energy))
-    return rows
+def oracle_increment_moment(Y, lo, hi):
+    return second_moment(Y.at_boundary(hi).sub(Y.at_boundary(lo)))
+
+
+def dyadic_energies(Y, moment):
+    """(depth, summed moment(Y, lo, hi) over the intervals) for each dyadic partition."""
+    return [
+        (part.n_intervals.bit_length() - 1, sum(moment(Y, lo, hi) for lo, hi in part.intervals()))
+        for part in Partition.dyadic_family(Y.grid)
+    ]
 
 
 def oracle_resynthesis_residual(Y, kernels):
@@ -455,13 +459,13 @@ def oracle_max_gap_spread(grid, order, snapshots):
     return worst
 
 
-def hexes(rows):
-    return [(depth, energy.hex()) for depth, energy in rows]
-
-
 def assert_tables_match_oracles(Y, kernels=None):
     if Y.grid.n_cells & (Y.grid.n_cells - 1) == 0:
-        assert hexes(max_increment_energy(Y).by_depth) == hexes(oracle_increment_energy(Y))
+        for part in Partition.dyadic_family(Y.grid):
+            for lo, hi in part.intervals():
+                assert _increment_second_moment(Y, lo, hi).hex() == oracle_increment_moment(Y, lo, hi).hex()
+        oracle = max(energy for _, energy in dyadic_energies(Y, oracle_increment_moment))
+        assert max_increment_energy(Y).hex() == oracle.hex()
     assert max_martingale_defect(Y).hex() == per_pair_max(Y).hex()
     for l in Y.orders():
         snapshots = [F.kernels.get(l) for F in Y.functionals]

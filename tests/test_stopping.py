@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import second_moment
 from skorochaos import (
     Grid,
     GridStoppingTime,
@@ -23,10 +24,11 @@ from skorochaos import (
 
 
 def test_deterministic_rule(grid8, batch8):
+    bv = batch8.boundary_values()
     S = GridStoppingTime.deterministic(grid8, 4)
-    assert np.all(S.eval(batch8) == 4)
-    np.testing.assert_allclose(S.eval(batch8) * grid8.delta, 0.5)
-    assert np.all(GridStoppingTime.deterministic(grid8, np.int64(8)).eval(batch8) == 8)
+    assert np.all(S.eval_walk(bv) == 4)
+    np.testing.assert_allclose(S.eval_walk(bv) * grid8.delta, 0.5)
+    assert np.all(GridStoppingTime.deterministic(grid8, np.int64(8)).eval_walk(bv) == 8)
     for bad in (0.5, 0.3, 9, -1, True):
         with pytest.raises(ValueError, match="integer boundary indices|is not 0 <= a <= b"):
             GridStoppingTime.deterministic(grid8, bad)
@@ -37,20 +39,24 @@ def test_level_hitting_convention(grid8):
     inc = np.array([[0.3, 0.3, -0.6, 0.0, 0.0, 0.0, 0.0, 0.0]])
     batch = PathBatch(grid8, inc)
     S = GridStoppingTime.level_hitting(grid8, 0.5)
-    assert S.eval(batch).tolist() == [2]
+    assert S.eval_walk(batch.boundary_values()).tolist() == [2]
     # a path that never reaches the level stops at time 1
-    low = PathBatch(grid8, -np.abs(inc))
-    assert S.eval(low).tolist() == [grid8.n_cells]
-    assert (S.eval(low) * grid8.delta).tolist() == [1.0]
+    low = PathBatch(grid8, -np.abs(inc)).boundary_values()
+    assert S.eval_walk(low).tolist() == [grid8.n_cells]
+    assert (S.eval_walk(low) * grid8.delta).tolist() == [1.0]
+    # a finite level that no path reaches stays valid; a NaN one is refused, as it would never fire
+    assert GridStoppingTime.level_hitting(grid8, 10.0).eval_walk(low).tolist() == [grid8.n_cells]
+    with pytest.raises(ValueError, match="NaN"):
+        GridStoppingTime.level_hitting(grid8, float("nan"))
 
 
 def test_first_exit_convention(grid8):
     inc = np.array([[0.2, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]])
     batch = PathBatch(grid8, inc)
     S = GridStoppingTime.first_exit(grid8, -0.5, 0.5)
-    assert S.eval(batch).tolist() == [3]
+    assert S.eval_walk(batch.boundary_values()).tolist() == [3]
     down = PathBatch(grid8, -inc)
-    assert S.eval(down).tolist() == [3]
+    assert S.eval_walk(down.boundary_values()).tolist() == [3]
     with pytest.raises(ValueError):
         GridStoppingTime.first_exit(grid8, 0.1, 0.5)
 
@@ -72,12 +78,12 @@ def test_decision_ignores_increments_after_stop(seed, filler):
         GridStoppingTime.level_hitting(grid, 0.5),
         GridStoppingTime.first_exit(grid, -0.75, 0.75),
     ):
-        idx = S.eval(batch)
+        idx = S.eval_walk(batch.boundary_values())
         inc = batch.increments.copy()
         for i, b in enumerate(idx):
             inc[i, b:] = filler
         tampered = PathBatch(grid, inc)
-        assert np.array_equal(S.eval(tampered), idx)
+        assert np.array_equal(S.eval_walk(tampered.boundary_values()), idx)
 
 
 def test_stopped_integral_identity(grid8, batch8):
@@ -112,7 +118,7 @@ def test_optional_sampling_panel(grid16):
 
 
 def test_optional_sampling_rows_rebuilt_from_their_parts(grid16):
-    # every row from S.eval, T.eval, the eval_batch columns and the boundary walk, bit for bit
+    # every row from S and T on the boundary walk, the eval_batch columns and the walk itself, bit for bit
     batch = sample_paths(grid16, 3000, seed=34)
     Y = skorohod_process(brownian_terminal_process(grid16).add(brownian_path_process(grid16)))
     T = GridStoppingTime.deterministic(grid16, 16)
@@ -120,8 +126,8 @@ def test_optional_sampling_rows_rebuilt_from_their_parts(grid16):
     curve = Y.eval_batch(batch)
     bv = batch.boundary_values()
     for S in (GridStoppingTime.first_exit(grid16, -0.5, 0.5), GridStoppingTime.level_hitting(grid16, 0.3)):
-        s_idx = S.eval(batch)
-        diff = curve[rows, T.eval(batch)] - curve[rows, s_idx]
+        s_idx = S.eval_walk(bv)
+        diff = curve[rows, T.eval_walk(bv)] - curve[rows, s_idx]
         x_s = bv[rows, s_idx]
         panel = {
             "one": np.ones(batch.count),
@@ -147,7 +153,7 @@ def test_optional_sampling_rejects_a_batch_on_another_grid(grid16, batch8):
     with pytest.raises(ValueError, match="grid"):
         optional_sampling_check(Y, S, T, batch8)
     with pytest.raises(ValueError, match="grid"):
-        S.eval(batch8)
+        S.eval_walk(batch8.boundary_values())
 
 
 def test_optional_sampling_rejects_unordered_times(grid8, batch8):
@@ -164,6 +170,6 @@ def test_boundary_second_moments_bounded_by_energy(grid16):
         brownian_terminal_process(grid16).add(brownian_path_process(grid16)),
     ):
         Y = skorohod_process(u)
-        curve = np.array([Y.at_boundary(b).second_moment() for b in range(grid16.n_cells + 1)])
+        curve = np.array([second_moment(Y.at_boundary(b)) for b in range(grid16.n_cells + 1)])
         assert curve[0] == 0.0
-        assert float(curve.max()) <= max_increment_energy(Y).value + 1e-12
+        assert float(curve.max()) <= max_increment_energy(Y) + 1e-12
