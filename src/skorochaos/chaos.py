@@ -99,11 +99,11 @@ class ChaosFunctional:
 
     def covariance(self, other: "ChaosFunctional") -> float:
         self._check(other)
-        return sum(
-            math.factorial(n) * f.inner(other.kernels[n])
-            for n, f in self.kernels.items()
-            if n in other.kernels
-        )
+        total = 0.0
+        for n, f in self.kernels.items():
+            if n in other.kernels:
+                total += math.factorial(n) * f.inner(other.kernels[n])
+        return total
 
     def variance(self) -> float:
         """Var F = Cov(F, F); with ``covariance``, the isometry's moments, which the tests' oracles read."""
@@ -260,29 +260,6 @@ def _factor_rows(mu: tuple[int, ...], n_cells: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _distinct(functionals: Sequence[ChaosFunctional]) -> tuple[list[ChaosFunctional], list[int]]:
-    """The functionals that evaluate differently, first seen first, and each one's index among them.
-
-    Candidates come from a dict keyed on the mean's bits and each order's
-    term count, so only functionals that may match are compared.
-    """
-    distinct: list[ChaosFunctional] = []
-    rows: list[int] = []
-    seen: dict[tuple, list[int]] = {}
-    for F in functionals:
-        key = (F.mean, math.copysign(1.0, F.mean), tuple(sorted((n, len(f)) for n, f in F.kernels.items())))
-        candidates = seen.setdefault(key, [])
-        # the key fixes the mean's bits and the orders; the kernels decide the rest
-        same = (i for i in candidates if all(f.same_terms(distinct[i].kernels[n]) for n, f in F.kernels.items()))
-        i = next(same, None)
-        if i is None:
-            i = len(distinct)
-            candidates.append(i)
-            distinct.append(F)
-        rows.append(i)
-    return distinct, rows
-
-
 def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.ndarray:
     """Evaluate several functionals pathwise; returns (len(functionals), count).
 
@@ -291,25 +268,21 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     in order (kernels by order, then ``items()``), each term the product of
     its Hermite factors taken left to right.
 
-    Each distinct functional is evaluated once, and its row is copied to
-    the functionals that equal it.  Two functionals count as equal only
-    when they would get the same float operations: the same mean bits (so
-    0.0 and -0.0 stay apart) and, order by order, kernels with the same
-    values in the same key order (``SymKernel.same_terms``).
+    Every functional passed is evaluated, a repeat as often as it comes,
+    so a caller passes each functional it reads once.
 
-    The call compiles one program for the distinct functionals.  Each
-    one's multisets are merged into the order of the first group whose
-    known multisets it meets in the same order (its new ones go right
-    after its previous one); a functional that fits no group starts a
-    new one.  So each functional's term order
-    is a subsequence of its group order, and walking the group order once
-    per path block visits every row's terms in that row's own order.  Each
-    product is built once per block from a Hermite table laid out as
-    (order, cell, path), so factors are contiguous rows; ``coef * term`` is
-    formed once per run of consecutive rows that share the coefficient and
-    added only into the rows that hold the multiset.  Memory stays flat in
-    the path count: one Hermite table, one term and one scaled term per
-    block.
+    The call compiles one program for all the functionals.  Each one's
+    multisets are merged into the order of the first group whose known
+    multisets it meets in the same order (its new ones go right after its
+    previous one); a functional that fits no group starts a new one.  So
+    each functional's term order is a subsequence of its group order, and
+    walking the group order once per path block visits every row's terms
+    in that row's own order.  Each product is built once per block from a
+    Hermite table laid out as (order, cell, path), so factors are
+    contiguous rows; ``coef * term`` is formed once per run of consecutive
+    rows that share the coefficient and added only into the rows that hold
+    the multiset.  Memory stays flat in the path count: one Hermite table,
+    one term and one scaled term per block.
 
     Products are shared only within one call, so a caller should pass all
     the functionals it reads on a batch together.  A path's row depends
@@ -319,12 +292,6 @@ def eval_many(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.nd
     for F in functionals:
         if F.grid != batch.grid:
             raise ValueError("functional and batch live on different grids")
-    distinct, rows = _distinct(functionals)
-    out = _evaluate(distinct, batch)
-    return out if len(distinct) == len(functionals) else out[rows]
-
-
-def _evaluate(functionals: Sequence[ChaosFunctional], batch: PathBatch) -> np.ndarray:
     count = batch.count
     out = np.empty((len(functionals), count), dtype=np.float64)
     out[:] = np.array([F.mean for F in functionals], dtype=np.float64)[:, None]

@@ -119,6 +119,8 @@ class Partition:
 
     def __post_init__(self) -> None:
         b = self.bounds
+        if not all(is_index(i) for i in b):
+            raise ValueError(f"partition {b!r} needs integer boundary indices")
         if len(b) < 2 or b[0] != 0 or b[-1] != self.grid.n_cells:
             raise ValueError(f"partition {b} must run from 0 to {self.grid.n_cells}")
         if any(b[i + 1] <= b[i] for i in range(len(b) - 1)):
@@ -127,10 +129,9 @@ class Partition:
     @classmethod
     def dyadic(cls, grid: Grid, depth: int) -> "Partition":
         n = grid.n_cells
-        step = n >> depth
-        if depth < 0 or step << depth != n or step == 0:
-            raise ValueError(f"dyadic depth {depth} does not divide a {n}-cell grid")
-        return cls(grid, tuple(range(0, n + 1, step)))
+        if not (is_index(depth) and 0 <= depth < n.bit_length() and n % (1 << depth) == 0):
+            raise ValueError(f"dyadic depth {depth!r} is not an integer that divides a {n}-cell grid")
+        return cls(grid, tuple(range(0, n + 1, n >> depth)))
 
     @classmethod
     def dyadic_family(cls, grid: Grid) -> tuple["Partition", ...]:

@@ -35,12 +35,10 @@ loop for kernels that share no cell.
 A long sum of kernels is a ``KernelSum``: it adds each stack of kernels,
 one per order, into one dict per order, and gives bit for bit what a
 left fold of ``SymKernel.add`` gives, without copying the running sum at
-every step.  ``SymKernel.same_terms`` tells whether two kernels store the
-same values in the same key order, which is when they evaluate alike.
-``conditioned_sums`` sums products that each have one cell in a window,
-conditioned at every boundary: it reads once per multiset the boundaries
-at which the multiset survives, and at each boundary folds the survivors
-into a ``KernelSum``.
+every step.  ``conditioned_sums`` sums products that each have one cell
+in a window, conditioned at every boundary: it reads once per multiset
+the boundaries at which the multiset survives, and at each boundary folds
+the survivors into a ``KernelSum``.
 
 This is the only module that builds, edits or checks a multiset; others
 read kernels through ``items()``, ``value()``, ``len()``, ``cells()`` and
@@ -225,8 +223,10 @@ class SymKernel:
     def inner(self, other: "SymKernel") -> float:
         self._check(other)
         small, big = (self.data, other.data) if len(self.data) <= len(other.data) else (other.data, self.data)
-        d = self.grid.delta**self.order
-        return sum(v * big.get(mu, 0.0) * orderings(mu) for mu, v in small.items()) * d
+        total = 0.0
+        for mu, v in small.items():
+            total += v * big.get(mu, 0.0) * orderings(mu)
+        return total * self.grid.delta**self.order
 
     def scaled(self, c: float) -> "SymKernel":
         c = float(c)
@@ -246,21 +246,6 @@ class SymKernel:
         for mu, v in other.data.items():
             out[mu] = out.get(mu, 0.0) - v
         return SymKernel._built(self.grid, self.order, out)
-
-    def same_terms(self, other: "SymKernel") -> bool:
-        """Whether both store the same values under the same multisets, in the same key order.
-
-        A stored value is never zero, so equal values have equal bits.
-        """
-        if self is other:
-            return True
-        return (
-            self.grid == other.grid
-            and self.order == other.order
-            and len(self.data) == len(other.data)
-            and self.data == other.data
-            and list(self.data) == list(other.data)
-        )
 
     def max_abs(self) -> float:
         """The largest |value| stored, 0.0 when none is."""

@@ -217,10 +217,11 @@ class SkorohodProcess:
         Row i holds Y at boundary indices[i][p] on path p.  The paths are
         grouped by their tuple of indices, and each group is evaluated in
         one ``eval_many`` call on its own rows of the batch, gathered when
-        that group's turn comes, so the values at a path's boundaries share
-        their Hermite products.  A path's value depends only on its own
-        increments, so every entry equals the matching entry of
-        ``eval_batch`` bit for bit.
+        that group's turn comes, with each boundary of the group passed
+        once, so the values at a path's boundaries share their Hermite
+        products.  A path's value depends only on its own increments, so
+        every entry equals the matching entry of ``eval_batch`` bit for
+        bit.
         """
         n = self.grid.n_cells
         stacked = np.empty((len(indices), batch.count), dtype=np.int64)
@@ -242,7 +243,8 @@ class SkorohodProcess:
         cuts = [0, *(np.flatnonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)) + 1), batch.count]
         for a, b in zip(cuts, cuts[1:]):
             sub = PathBatch(batch.grid, batch.increments.take(order[a:b], axis=0))
-            out[:, order[a:b]] = eval_many([self.functionals[i] for i in ordered[:, a]], sub)
+            snapshots, rows = np.unique(ordered[:, a], return_inverse=True)
+            out[:, order[a:b]] = eval_many([self.functionals[i] for i in snapshots], sub)[rows]
         return out
 
     def __repr__(self) -> str:
@@ -432,12 +434,15 @@ def max_increment_energy(Y: SkorohodProcess) -> float:
 
     The family runs from the trivial partition {0, 1} down to single
     cells; every expectation is computed from the kernels, through the
-    process's value tables.
+    process's value tables.  Each partition's sum is a left fold from 0.0.
     """
-    return max(
-        sum(_increment_second_moment(Y, lo, hi) for lo, hi in part.intervals())
-        for part in Partition.dyadic_family(Y.grid)
-    )
+    energies = []
+    for part in Partition.dyadic_family(Y.grid):
+        energy = 0.0
+        for lo, hi in part.intervals():
+            energy += _increment_second_moment(Y, lo, hi)
+        energies.append(energy)
+    return max(energies)
 
 
 def extract_region_kernels(u: ChaosProcess, Y: SkorohodProcess) -> dict[tuple[int, int], SymKernel]:

@@ -9,20 +9,31 @@ path never triggers.
 Two facts about the integral process survive stopping exactly on the
 grid.  First, optional sampling: the expectation of Y_T - Y_S against
 any variable known at time S vanishes, checked here as Monte Carlo
-z-scores.  Second, for a step integrand whose interval values have no
-kernel support inside their own interval, the stopped integral equals
-the sum of interval values times stopped increments, pathwise with no
-error beyond float roundoff.  Both checks return plain tuples of numbers
-and arrays, which the experiment layer writes into its rows.  Each check
-reads one boundary walk of its batch (``PathBatch.boundary_values``): the
-rules decide from it through ``GridStoppingTime.eval_walk``, and the
-S-measurable test variables and stopped increments are read off it.
+z-scores.  It is exact on the grid, not a limit.  For stopping times
+S <= T and a G known at S,
+
+    (Y_T - Y_S) G = sum_k dY_k 1{S < k <= T} G,   dY_k = Y_k - Y_{k-1},
+
+and each factor beside dY_k depends only on the cells before k: S < k
+and T >= k are decided by time k - 1, and so is G on {S < k}.  The
+``martingale`` experiment finds E[dY_k | increments outside cell k]
+to be 0.0 for every cell, so every term has mean zero and a z-score
+off zero is sampling error only.  Second, for a step integrand whose
+interval values have no kernel support inside their own interval, the
+stopped integral equals the sum of interval values times stopped
+increments, pathwise with no error beyond float roundoff.  Both checks
+return plain tuples of numbers and arrays, which the experiment layer
+writes into its rows.  Each check reads one boundary walk of its batch
+(``PathBatch.boundary_values``): the rules decide from it through
+``GridStoppingTime.eval_walk``, and the S-measurable test variables and
+stopped increments are read off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -54,25 +65,37 @@ class GridStoppingTime:
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        """Check the rule however it was built; a boundary index is stored as an ``int``."""
+        arity = {"deterministic": 1, "level-hitting": 1, "first-exit": 2}.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown stopping kind {self.kind!r}")
+        p = self.params
+        if not isinstance(p, tuple) or len(p) != arity:
+            raise ValueError(f"a {self.kind} rule takes {arity} parameter(s), got {p!r}")
+        if self.kind == "deterministic":
+            self.grid.check_interval(0, p[0])
+            object.__setattr__(self, "params", (int(p[0]),))
+        elif not all(isinstance(x, Real) and not isinstance(x, bool) for x in p):
+            raise ValueError(f"a {self.kind} rule needs real parameters, got {p!r}")
+        elif self.kind == "level-hitting" and math.isnan(p[0]):
+            raise ValueError("a NaN level is never reached, so every path would stop at time 1")
+        elif self.kind == "first-exit" and not p[0] < 0.0 < p[1]:
+            raise ValueError("the band must contain the starting point 0")
+
     @classmethod
     def deterministic(cls, grid: Grid, b: int) -> "GridStoppingTime":
         """Stop at boundary index b on every path."""
-        grid.check_interval(0, b)
-        return cls(grid, "deterministic", (int(b),))
+        return cls(grid, "deterministic", (b,))
 
     @classmethod
     def level_hitting(cls, grid: Grid, level: float) -> "GridStoppingTime":
         """First boundary k >= 1 with X_{k delta} >= level, else time 1."""
-        level = float(level)
-        if math.isnan(level):
-            raise ValueError("a NaN level is never reached, so every path would stop at time 1")
-        return cls(grid, "level-hitting", (level,))
+        return cls(grid, "level-hitting", (float(level),))
 
     @classmethod
     def first_exit(cls, grid: Grid, lo: float, hi: float) -> "GridStoppingTime":
         """First boundary k >= 1 with X outside (lo, hi), else time 1."""
-        if not lo < 0.0 < hi:
-            raise ValueError("the band must contain the starting point 0")
         return cls(grid, "first-exit", (float(lo), float(hi)))
 
     def label(self) -> str:
@@ -95,11 +118,9 @@ class GridStoppingTime:
         walk = bv[:, 1:]
         if self.kind == "level-hitting":
             cond = walk >= self.params[0]
-        elif self.kind == "first-exit":
+        else:
             lo, hi = self.params
             cond = (walk <= lo) | (walk >= hi)
-        else:
-            raise ValueError(f"unknown stopping kind {self.kind!r}")
         hit = cond.any(axis=1)
         first = np.argmax(cond, axis=1) + 1
         return np.where(hit, first, n).astype(np.int64)

@@ -4,10 +4,9 @@
 its own and rebuilt every Hermite product for every functional holding
 it.  The library shares products across functionals; it must still give
 every row the same float operations in the same order, so the outputs
-are compared with ``tobytes()``, which also tells -0.0 from 0.0.  It
-evaluates each distinct functional once; a repeated one must still get
-the row it gets alone, and two functionals whose floats could differ
-must never be taken for one.
+are compared with ``tobytes()``, which also tells -0.0 from 0.0.  Every
+functional passed is evaluated, a repeat included, and each row must be
+the row its functional gets alone, whatever else shares the call.
 """
 
 import itertools
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 
 from skorochaos.chaos import (
     ChaosFunctional,
-    _distinct,
     constant_functional,
     eval_many,
     first_order,
@@ -213,24 +211,12 @@ def test_repeated_functionals_get_their_own_rows(case, picks, count, seed):
     assert got.tobytes() == oracle_eval_many(listed, batch).tobytes()
 
 
-def test_repeats_are_evaluated_once():
-    grid = Grid(4)
-    F = ChaosFunctional(
-        grid, 0.5, {2: _kernel(grid, 2, [((1, 2), 0.3), ((3, 4), -1.1)]), 1: _kernel(grid, 1, [((2,), 2.0)])}
-    )
-    zero = constant_functional(grid, 0.0)
-    distinct, rows = _distinct([F, zero, copied(F), F, ChaosFunctional(grid, 0.0, {}), copied(F)])
-    assert distinct[0] is F and distinct[1] is zero
-    assert rows == [0, 1, 0, 0, 1, 0]
-
-
 def test_the_same_dict_in_another_key_order_is_not_merged():
     # equal dicts, but the terms are added in another order, which can round differently
     grid = Grid(4)
     a = ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((1, 2), 1e16), ((3, 4), 1.0), ((1, 1), -1e16)])})
     b = ChaosFunctional(grid, 0.0, {2: _kernel(grid, 2, [((1, 1), -1e16), ((3, 4), 1.0), ((1, 2), 1e16)])})
     assert dict(a.kernels[2].items()) == dict(b.kernels[2].items())
-    assert _distinct([a, b])[1] == [0, 1]
     assert_same_bytes([a, b, a, b], sample_paths(grid, 200, seed=9))
 
 
@@ -238,7 +224,6 @@ def test_means_of_zero_and_negative_zero_are_not_merged():
     grid = Grid(4)
     k = {1: _kernel(grid, 1, [((3,), 0.25)])}
     fs = [ChaosFunctional(grid, mean, ks) for ks in ({}, k) for mean in (0.0, -0.0)]
-    assert _distinct(fs)[1] == [0, 1, 2, 3]
     batch = sample_paths(grid, 50, seed=4)
     rows = eval_many(fs + fs, batch)
     assert not np.signbit(rows[0]).any() and np.signbit(rows[1]).all()

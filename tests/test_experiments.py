@@ -245,21 +245,49 @@ def test_cli_rejects_a_config_the_grid_cannot_hold_before_opening_out(argv, tmp_
     assert dest.read_bytes() == b"earlier table\n"
 
 
-@pytest.fixture
-def eval_rows(monkeypatch):
-    """Rows x paths of every eval_many call, wherever the name is bound."""
+def watch_eval_many(monkeypatch, record):
+    """Call ``record(functionals, batch)`` before every eval_many call, wherever the name is bound."""
     from skorochaos import chaos, experiments, reversal, skorohod, stopping
 
     original = chaos.eval_many
-    calls = []
 
-    def counted(functionals, batch):
-        calls.append(len(functionals) * batch.count)
+    def watched(functionals, batch):
+        record(functionals, batch)
         return original(functionals, batch)
 
     for module in (chaos, experiments, reversal, skorohod, stopping):
-        monkeypatch.setattr(module, "eval_many", counted)
+        monkeypatch.setattr(module, "eval_many", watched)
+
+
+@pytest.fixture
+def eval_rows(monkeypatch):
+    """Rows x paths of every eval_many call."""
+    calls = []
+    watch_eval_many(monkeypatch, lambda functionals, batch: calls.append(len(functionals) * batch.count))
     return calls
+
+
+def test_no_eval_many_call_is_handed_a_repeat(monkeypatch):
+    """eval_many evaluates every functional it is given, so a repeat would be evaluated twice.
+
+    Two functionals evaluate alike when their means have the same bits and
+    each order's kernel holds the same items in the same key order.
+    """
+    repeats = []
+
+    def record(functionals, batch):
+        seen = set()
+        for F in functionals:
+            key = (F.mean.hex(), tuple((n, tuple(f.items())) for n, f in sorted(F.kernels.items())))
+            if key in seen:
+                repeats.append((len(functionals), F))
+            seen.add(key)
+
+    watch_eval_many(monkeypatch, record)
+    for n in (1, 2, 3):
+        assert run_experiment(ExperimentConfig(experiment="reversal", N=16, n=n, t=0.5, paths=200)).ok
+    assert run_experiment(ExperimentConfig(experiment="stopping", N=16, paths=500)).ok
+    assert repeats == []
 
 
 def test_each_batch_is_evaluated_once(eval_rows):

@@ -66,6 +66,18 @@ def test_partition_rejects_bad_bounds(grid8):
         Partition(grid8, (1, 8))
 
 
+@pytest.mark.parametrize("bounds", [(0, 4.0, 8), (0, True, 8), (0.0, 8), (0, 8.0)])
+def test_partition_rejects_non_integer_bounds(grid8, bounds):
+    with pytest.raises(ValueError, match="integer boundary indices"):
+        Partition(grid8, bounds)
+
+
+@pytest.mark.parametrize("depth", [1.5, 1.0, True, False, -1, 4, 10**100])
+def test_dyadic_rejects_a_depth_that_is_not_an_integer_dividing_the_grid(grid8, depth):
+    with pytest.raises(ValueError, match="dyadic depth"):
+        Partition.dyadic(grid8, depth)
+
+
 def test_selection_count():
     for total in range(1, 6):
         for size in range(total + 1):

@@ -14,7 +14,9 @@ where a config value holds it.  The benchmark tracer in
 ``perfbench/tracing.py`` wraps package functions by name, so every name
 it wraps must exist.  Every function, class and method the package
 defines is referred to somewhere in the package, unless the tracer wraps
-it or ``UNREFERENCED_OK`` gives the reason it stays.
+it or ``UNREFERENCED_OK`` gives the reason it stays.  Floats are summed by
+explicit left folds: the builtin ``sum`` is called only on integers,
+since CPython 3.12 compensates its float sums.
 """
 
 import ast
@@ -161,3 +163,34 @@ def test_every_definition_is_referenced():
         if name.rsplit(".", 1)[-1] not in referenced and (p.stem, name) not in traced and name not in UNREFERENCED_OK
     ]
     assert unreferenced == [], f"definitions no package module refers to: {unreferenced}"
+
+
+# Builtin sum() calls over integers, which every interpreter adds exactly.
+INTEGER_SUMS = {("grid.py", "exact_below_count"), ("kernels.py", "contract")}
+
+
+def builtin_sum_calls(path):
+    """(line, enclosing function) of every call of the builtin ``sum`` in the module."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "sum":
+                out.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return out
+
+
+def test_floats_are_summed_by_explicit_left_folds():
+    calls = [
+        f"{p.name}:{line} in {function}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for line, function in builtin_sum_calls(p)
+        if (p.name, function) not in INTEGER_SUMS
+    ]
+    assert calls == [], f"builtin sum() outside the integer counts: {calls}"

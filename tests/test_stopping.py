@@ -61,6 +61,34 @@ def test_first_exit_convention(grid8):
         GridStoppingTime.first_exit(grid8, 0.1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "kind, params, match",
+    [
+        ("deterministic", (0.5,), "integer boundary indices"),
+        ("deterministic", (100,), "is not 0 <= a <= b"),
+        ("deterministic", (True,), "integer boundary indices"),
+        ("deterministic", (4, 8), "takes 1 parameter"),
+        ("bogus", (0.5,), "unknown stopping kind"),
+        ("level-hitting", (float("nan"),), "NaN"),
+        ("level-hitting", ("0.5",), "real parameters"),
+        ("level-hitting", (), "takes 1 parameter"),
+        ("first-exit", (0.5, -0.5), "band must contain"),
+        ("first-exit", (-0.5, float("nan")), "band must contain"),
+        ("first-exit", [-0.5, 0.5], "takes 2 parameter"),
+    ],
+)
+def test_a_rule_built_directly_is_checked(grid8, kind, params, match):
+    with pytest.raises(ValueError, match=match):
+        GridStoppingTime(grid8, kind, params)
+
+
+def test_a_rule_built_directly_equals_the_classmethods(grid8):
+    assert GridStoppingTime(grid8, "deterministic", (np.int64(4),)) == GridStoppingTime.deterministic(grid8, 4)
+    assert type(GridStoppingTime(grid8, "deterministic", (np.int64(4),)).params[0]) is int
+    assert GridStoppingTime(grid8, "level-hitting", (0.5,)) == GridStoppingTime.level_hitting(grid8, 0.5)
+    assert GridStoppingTime(grid8, "first-exit", (-0.5, 0.5)) == GridStoppingTime.first_exit(grid8, -0.5, 0.5)
+
+
 def test_labels(grid8):
     assert GridStoppingTime.deterministic(grid8, 8).label() == "deterministic(1)"
     assert GridStoppingTime.deterministic(grid8, 4).label() == "deterministic(0.5)"
